@@ -67,7 +67,7 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
 
 
 def _cmd_election(args: argparse.Namespace) -> int:
-    from repro.core import build_voting_stack
+    from repro.core import build_voting_stack, mode_delta
     from repro.crypto.batch import BatchPolicy, batching
 
     candidates = tuple(args.candidates)
@@ -76,7 +76,7 @@ def _cmd_election(args: argparse.Namespace) -> int:
         stack = build_voting_stack(
             voters=args.voters, mode=args.mode, seed=args.seed, candidates=candidates,
             phi=max(4, 5 if args.mode == "composed" else 4),
-            delta=3 if args.mode == "composed" else 2,
+            delta=mode_delta(args.mode),
             backend=args.backend,
         )
         if args.mode == "ideal":
@@ -118,6 +118,7 @@ def _cmd_auction(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.core import build_sbc_stack
     from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
     if args.sessions < 1:
@@ -128,6 +129,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         n=args.n, mode=args.mode, phi=args.phi, delta=args.delta, senders=args.senders
     )
     try:
+        # One untimed stack: a violated Theorem 2 precondition (∆, Φ)
+        # raises here, before any session runs.
+        build_sbc_stack(n=args.n, mode=args.mode, phi=args.phi, delta=args.delta)
         config = SweepConfig.from_args(args, backend=args.backend)
         pool = SessionPool(config=config, **params)
     except ValueError as exc:
@@ -308,6 +312,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core import mode_delta
     from repro.runtime import (
         AsyncSessionHost,
         SweepConfig,
@@ -331,10 +336,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # executor modes offload the picklable synchronous trial runners.
     if args.workload == "voting":
         runner = async_voting_session if config.executor == "inline" else run_voting_trial
-        params = dict(voters=args.n, mode=args.mode)
+        params = dict(voters=args.n, mode=args.mode, delta=mode_delta(args.mode))
     else:
         runner = async_sbc_session if config.executor == "inline" else run_sbc_trial
-        params = dict(n=args.n, mode=args.mode)
+        params = dict(n=args.n, mode=args.mode, delta=mode_delta(args.mode))
     try:
         host = AsyncSessionHost(
             runner,

@@ -62,6 +62,15 @@ BackendArg = Union[str, ExecutionBackend, None]
 #: Corollary 1 default parameters: Φ > 3, ∆ > 2, α = 3.
 SBC_DEFAULTS = {"phi": 5, "delta": 3, "q": 4}
 
+
+def mode_delta(mode: str) -> int:
+    """The smallest release delay ∆ an SBC-based stack accepts in ``mode``.
+
+    Theorem 2 needs ∆ > max(leak(Cl) − Cl): 1 over the ideal FTLE, 2 over
+    ΠTLE-over-ΠFBC in the ``composed`` world (Corollary 1).
+    """
+    return 3 if mode == "composed" else 2
+
 #: Wire sizes per layer (bytes).  FBC carries ΠTLE's puzzle ciphertexts,
 #: which grow with q·τdec, hence the large FBC frame.
 MSG_LEN_SBC = 192

@@ -10,7 +10,7 @@ the proofs of Lemma 2 and Theorem 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.crypto.hashing import DIGEST_SIZE
 from repro.uc.entity import Functionality
@@ -52,6 +52,37 @@ class RandomOracle(Functionality):
         self.queried_by.setdefault(x, set()).add(querier)
         self.session.metrics.count_ro_query(self.fid, querier)
         return self._table[x]
+
+    def query_many(self, xs: Iterable[bytes], querier: str = "?") -> List[bytes]:
+        """``[H(x) for x in xs]``, billed to ``Metrics`` once for the batch.
+
+        Same table, ``queried_by`` and RNG draws as calling :meth:`query`
+        on each point in order, including when a non-``bytes`` point
+        raises ``TypeError`` part-way (the points before it stay queried
+        and billed).
+        """
+        table = self._table
+        queried_by = self.queried_by
+        draw = self.session.random_bytes
+        size = self.digest_size
+        out: List[bytes] = []
+        try:
+            for x in xs:
+                if not isinstance(x, bytes):
+                    raise TypeError("oracle inputs are byte strings")
+                digest = table.get(x)
+                if digest is None:
+                    digest = table[x] = draw(size)
+                who = queried_by.get(x)
+                if who is None:
+                    queried_by[x] = {querier}
+                else:
+                    who.add(querier)
+                out.append(digest)
+        finally:
+            if out:
+                self.session.metrics.count_ro_query(self.fid, querier, len(out))
+        return out
 
     def hash_fn(self, querier: str = "?"):
         """A ``bytes -> bytes`` closure querying this oracle as ``querier``."""

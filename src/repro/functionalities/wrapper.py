@@ -85,7 +85,7 @@ class QueryWrapper(Functionality):
         self._used[key] = used + 1
         self.session.metrics.inc("ro.batches")
         self.session.metrics.inc("ro.points", len(inputs))
-        return [self.oracle.query(x, querier=entity_id) for x in inputs]
+        return self.oracle.query_many(inputs, querier=entity_id)
 
     def evaluate_one(self, entity_id: str, x: bytes) -> bytes:
         """Single-query convenience wrapper around :meth:`evaluate`."""

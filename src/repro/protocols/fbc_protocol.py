@@ -22,7 +22,8 @@ account, exactly as Figure 11 schedules them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import DIGEST_SIZE, xor_bytes
 from repro.functionalities.random_oracle import RandomOracle
@@ -89,6 +90,15 @@ class FBCProtocolAdapter(Functionality):
         self.oracle = oracle
         self.msg_len = msg_len
         self._state: Dict[str, _PartyState] = {}
+        # Step 5 memo for the round in ``_opened_at``: (mask y, η) — which
+        # fix the padded bytes y ⊕ η — to (sort key, message).  Every
+        # honest party opens the same payload in the same round, so each
+        # is unmasked, decoded and keyed once.  Decoded values are
+        # immutable (tuples, bytes, frozen dataclasses), so the parties may
+        # share them.  Kept per adapter and per round, never module-wide,
+        # so it holds one round's payloads at most.
+        self._opened: Dict[Tuple[bytes, bytes], Tuple[bytes, Any]] = {}
+        self._opened_at = -1
 
     # -- wiring ------------------------------------------------------------
 
@@ -179,18 +189,16 @@ class FBCProtocolAdapter(Functionality):
                 for values in randomness.values():
                     points.extend(values)
             active = [s for s in solvers if s is not None and not s.solved]
-            offsets = []
-            for solver in active:
-                offsets.append(len(points))
-                points.append(solver.next_query())
+            first = len(points)
+            points.extend([solver.next_query() for solver in active])
             if not points:
                 continue
             responses = self.wrapper.evaluate(party.pid, points)
             if j == 0:
                 for point, response in zip(points, responses):
                     enc_responses.setdefault(point, response)
-            for solver, offset in zip(active, offsets):
-                solver.absorb(responses[offset])
+            for solver, response in zip(active, responses[first:]):
+                solver.absorb(response)
 
         # Step 4: encrypt and broadcast each pending message.
         for index, message in enumerate(pending):
@@ -211,6 +219,8 @@ class FBCProtocolAdapter(Functionality):
                 self.ubc.broadcast(party, (ciphertext, mask))
 
         # Step 5: open the puzzles received two rounds ago.
+        if self._opened_at != now:
+            self._opened, self._opened_at = {}, now
         ready: List[Any] = []
         for entry in finishing:
             state.waiting.remove(entry)
@@ -219,14 +229,18 @@ class FBCProtocolAdapter(Functionality):
             except Exception:
                 continue  # invalid puzzle: ignore, as honest parties do
             eta = self.oracle.query(rho, querier=party.pid)
-            try:
-                ready.append(unpad_message(xor_bytes(entry.mask, eta)))
-            except ValueError:
-                continue
+            opened = self._opened.get((entry.mask, eta))
+            if opened is None:
+                try:
+                    message = unpad_message(xor_bytes(entry.mask, eta))
+                except ValueError:
+                    continue  # not memoised: a failure costs a decode again
+                opened = self._opened[entry.mask, eta] = (sort_key(message), message)
+            ready.append(opened)
 
         # Steps 6-7: deliver sorted.
-        ready.sort(key=sort_key)
-        for message in ready:
+        ready.sort(key=itemgetter(0))
+        for _key, message in ready:
             self.deliver(party, ("Broadcast", message))
 
         # Step 9: Advance_Clock down to FUBC.

@@ -239,18 +239,16 @@ class TLEProtocolAdapter(Functionality):
                 for puzzle in state.puzzles.values()
                 if not puzzle.solver.solved
             ]
-            offsets = []
-            for solver in active:
-                offsets.append(len(points))
-                points.append(solver.next_query())
+            first = len(points)
+            points.extend([solver.next_query() for solver in active])
             if not points:
                 continue
             responses = self.wrapper.evaluate(party.pid, points)
             if j == 0:
                 for point, response in zip(points, responses):
                     enc_responses.setdefault(point, response)
-            for solver, offset in zip(active, offsets):
-                solver.absorb(responses[offset])
+            for solver, response in zip(active, responses[first:]):
+                solver.absorb(response)
 
         for index, record in enumerate(fresh):
             rho = self.session.random_bytes(DIGEST_SIZE)

@@ -478,7 +478,7 @@ async def async_sbc_session(
     n: int = 3,
     mode: str = "hybrid",
     phi: int = 4,
-    delta: int = 2,
+    delta: Optional[int] = None,
     senders: int = 1,
     backend: Any = "async",
     trace: Optional[str] = None,
@@ -494,7 +494,7 @@ async def async_sbc_session(
     session's ``spending`` cursor stays isolated however the sessions
     interleave.
     """
-    from repro.core.stacks import build_sbc_stack
+    from repro.core.stacks import build_sbc_stack, mode_delta
     from repro.crypto.batch import batching
     from repro.crypto.randomness import spending
 
@@ -502,7 +502,8 @@ async def async_sbc_session(
     start = time.perf_counter()
     with spending(cursor), batching(batch):
         stack = build_sbc_stack(
-            n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
+            n=n, mode=mode, seed=seed, phi=phi,
+            delta=mode_delta(mode) if delta is None else delta, backend=backend,
             trace=trace,
         )
         for index in range(senders):
@@ -539,6 +540,7 @@ async def async_voting_session(
     voters: int = 3,
     candidates: Tuple[str, ...] = ("yes", "no"),
     mode: str = "hybrid",
+    delta: Optional[int] = None,
     backend: Any = "async",
     trace: Optional[str] = None,
     online: Optional[Any] = None,
@@ -550,7 +552,7 @@ async def async_voting_session(
     session burns real nonces, so the 1000-session bench can check that
     leased pool slices never overlap (zero double-spend).
     """
-    from repro.core.stacks import build_voting_stack
+    from repro.core.stacks import build_voting_stack, mode_delta
     from repro.crypto.batch import batching
     from repro.crypto.randomness import spending
 
@@ -560,6 +562,7 @@ async def async_voting_session(
     with spending(cursor), batching(batch):
         stack = build_voting_stack(
             voters=voters, mode=mode, seed=seed, candidates=candidates,
+            delta=mode_delta(mode) if delta is None else delta,
             backend=backend, trace=trace,
         )
         if mode == "ideal":

@@ -199,7 +199,7 @@ def run_sbc_trial(
     n: int = 3,
     mode: str = "hybrid",
     phi: int = 4,
-    delta: int = 2,
+    delta: Optional[int] = None,
     senders: int = 1,
     backend: Union[str, ExecutionBackend] = "pooled",
     trace: Optional[str] = None,
@@ -216,7 +216,7 @@ def run_sbc_trial(
     :class:`~repro.crypto.batch.BatchPolicy`) verification-heavy rounds
     batch their checks through one random-linear-combination multi-exp.
     """
-    from repro.core.stacks import build_sbc_stack
+    from repro.core.stacks import build_sbc_stack, mode_delta
     from repro.crypto.batch import batching
     from repro.crypto.randomness import spending
 
@@ -224,7 +224,8 @@ def run_sbc_trial(
     start = time.perf_counter()
     with spending(cursor), batching(batch):
         stack = build_sbc_stack(
-            n=n, mode=mode, seed=seed, phi=phi, delta=delta, backend=backend,
+            n=n, mode=mode, seed=seed, phi=phi,
+            delta=mode_delta(mode) if delta is None else delta, backend=backend,
             trace=trace,
         )
         for index in range(senders):
@@ -255,6 +256,7 @@ def run_voting_trial(
     voters: int = 3,
     candidates: Tuple[str, ...] = ("yes", "no"),
     mode: str = "hybrid",
+    delta: Optional[int] = None,
     backend: Union[str, ExecutionBackend] = "pooled",
     trace: Optional[str] = None,
     online: Optional[Any] = None,
@@ -272,7 +274,7 @@ def run_voting_trial(
     round verifies certificates and ballot proofs through one
     random-linear-combination batch per voter.
     """
-    from repro.core.stacks import build_voting_stack
+    from repro.core.stacks import build_voting_stack, mode_delta
     from repro.crypto.batch import batching
     from repro.crypto.randomness import spending
 
@@ -282,6 +284,7 @@ def run_voting_trial(
     with spending(cursor), batching(batch):
         stack = build_voting_stack(
             voters=voters, mode=mode, seed=seed, candidates=candidates,
+            delta=mode_delta(mode) if delta is None else delta,
             backend=backend, trace=trace,
         )
         if mode == "ideal":

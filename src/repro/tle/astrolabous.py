@@ -136,19 +136,16 @@ class PuzzleSolver:
     def __init__(self, ciphertext: TLECiphertext) -> None:
         self.ciphertext = ciphertext
         self.witness: List[bytes] = []
-        self._current: Optional[bytes] = (
-            ciphertext.chain[0] if ciphertext.length > 0 else None
-        )
+        self._chain = ciphertext.chain
+        self._length = ciphertext.length
+        #: Whether the full witness has been computed (set by :meth:`absorb`).
+        self.solved = self._length == 0
+        self._current: Optional[bytes] = None if self.solved else self._chain[0]
 
     @property
     def position(self) -> int:
         """Number of chain links already unwound."""
         return len(self.witness)
-
-    @property
-    def solved(self) -> bool:
-        """Whether the full witness has been computed."""
-        return self.position >= self.ciphertext.length
 
     def next_query(self) -> bytes:
         """The value that must be hashed to advance one link.
@@ -166,11 +163,15 @@ class PuzzleSolver:
             raise PuzzleError("puzzle already solved")
         if len(digest) != DIGEST_SIZE:
             raise PuzzleError("response has wrong size")
-        self.witness.append(digest)
-        if not self.solved:
-            # r_{j} = z_{j} XOR H(r_{j-1})
-            self._current = xor_bytes(self.ciphertext.chain[self.position], digest)
+        witness = self.witness
+        witness.append(digest)
+        position = len(witness)
+        if position < self._length:
+            # r_{j} = z_{j} XOR H(r_{j-1}); both are digest-sized.
+            link = int.from_bytes(self._chain[position], "big") ^ int.from_bytes(digest, "big")
+            self._current = link.to_bytes(DIGEST_SIZE, "big")
         else:
+            self.solved = True
             self._current = None
 
     def step(self, hash_fn: HashFn, queries: int = 1) -> int:

@@ -36,11 +36,12 @@ class Metrics:
         if size_bits:
             self.inc("messages.bits", size_bits)
 
-    def count_ro_query(self, oracle: str, entity: str) -> None:
-        """Record one random-oracle query by ``entity`` against ``oracle``."""
-        self.inc("ro.total")
-        self.inc(f"ro.{oracle}")
-        self.inc(f"ro.by.{entity}")
+    def count_ro_query(self, oracle: str, entity: str, amount: int = 1) -> None:
+        """Record ``amount`` random-oracle queries by ``entity`` against ``oracle``."""
+        counters = self.counters
+        counters["ro.total"] += amount
+        counters["ro." + oracle] += amount
+        counters["ro.by." + entity] += amount
 
     def count_signature(self, op: str) -> None:
         """Record a signing/verification operation (``op`` in {sign, verify})."""

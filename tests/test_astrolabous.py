@@ -133,3 +133,56 @@ def test_roundtrip_property(message, difficulty, rate, seed):
     rng = random.Random(seed)
     ct = ast_encrypt(message, difficulty=difficulty, rate=rate, hash_fn=_hash, rng=rng)
     assert ast_decrypt(ct, ast_solve(ct, _hash)) == message
+
+
+# -- PuzzleSolver edges --------------------------------------------------------
+
+
+def _puzzle(rng, difficulty, rate):
+    """A puzzle built from known randomness r_0..r_{L-1}, and its witness."""
+    randomness = [rng.randbytes(32) for _ in range(difficulty * rate)]
+    ct = ast_encrypt(
+        b"edge", difficulty=difficulty, rate=rate, hash_fn=_hash, rng=rng,
+        randomness=randomness,
+    )
+    return ct, tuple(_hash(r) for r in randomness)
+
+
+def test_solver_difficulty_zero_starts_solved(rng):
+    ct, witness = _puzzle(rng, difficulty=0, rate=3)
+    solver = PuzzleSolver(ct)
+    assert solver.solved and solver.position == 0 and witness == ()
+    with pytest.raises(PuzzleError, match="already solved"):
+        solver.next_query()
+    with pytest.raises(PuzzleError, match="already solved"):
+        solver.absorb(bytes(32))
+    assert solver.step(_hash, queries=5) == 0
+    assert ast_solve(ct, _hash) == ()
+
+
+@pytest.mark.parametrize("difficulty, rate", [(1, 1), (3, 4)])
+def test_solver_witness_is_the_hash_of_each_link(rng, difficulty, rate):
+    ct, witness = _puzzle(rng, difficulty, rate)
+    assert ast_solve(ct, _hash) == witness
+    for k in (1, 2, ct.length):
+        solver = PuzzleSolver(ct)
+        steps = 0
+        while not solver.solved:
+            assert solver.position == steps
+            steps += solver.step(_hash, queries=k)
+        assert steps == ct.length and tuple(solver.witness) == witness
+        assert ast_decrypt(ct, solver.witness) == b"edge"
+
+
+def test_solver_absorb_after_solving_and_wrong_size_raise(rng):
+    ct, witness = _puzzle(rng, difficulty=1, rate=2)
+    solver = PuzzleSolver(ct)
+    with pytest.raises(PuzzleError, match="wrong size"):
+        solver.absorb(b"short")
+    assert solver.position == 0 and not solver.solved
+    solver.step(_hash, queries=2)
+    assert solver.solved and tuple(solver.witness) == witness
+    with pytest.raises(PuzzleError, match="already solved"):
+        solver.absorb(bytes(32))
+    with pytest.raises(PuzzleError, match="already solved"):
+        solver.next_query()

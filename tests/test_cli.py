@@ -86,3 +86,18 @@ def test_bench_command_process_executor(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "trace digests match sequential reference: yes" in out
+
+
+@pytest.mark.parametrize("workload", ["sbc", "voting"])
+def test_serve_composed_mode(workload, capsys):
+    # The serve runners take ∆ from the mode (Corollary 1 needs ∆ > 2).
+    assert main([
+        "serve", "--sessions", "2", "--n", "3", "--mode", "composed",
+        "--workload", workload,
+    ]) == 0
+    assert "sessions/sec" in capsys.readouterr().out
+
+
+def test_invalid_delta_exits_2_with_message(capsys):
+    assert main(["bench", "--sessions", "2", "--mode", "composed", "--delta", "2"]) == 2
+    assert "Theorem 2 requires delta" in capsys.readouterr().err

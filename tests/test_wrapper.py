@@ -11,6 +11,7 @@ from repro.functionalities.random_oracle import RandomOracle
 from repro.functionalities.wrapper import QueryWrapper
 from repro.uc.entity import Party
 from repro.uc.errors import ResourceExhausted
+from repro.uc.session import Session
 
 
 @pytest.fixture
@@ -104,3 +105,68 @@ def test_hash_fn_closure_metered(session, wrapper):
     h(b"3")
     with pytest.raises(ResourceExhausted):
         h(b"4")
+
+
+# -- batched metering ≡ the per-point query loop ------------------------------
+
+
+def _twin_wrappers(q=3):
+    """Two identically seeded sessions, each with an F*RO behind a Wq."""
+    twins = []
+    for _ in range(2):
+        session = Session(seed=77)
+        Party(session, "P0")
+        oracle = RandomOracle(session, fid="F*RO")
+        twins.append((session, oracle, QueryWrapper(session, oracle, q=q)))
+    return twins
+
+
+def _per_point_evaluate(session, oracle, pid, points):
+    """Wq.evaluate as a loop of single queries: the reference metering."""
+    session.metrics.inc("ro.batches")
+    session.metrics.inc("ro.points", len(points))
+    return [oracle.query(x, querier=pid) for x in points]
+
+
+def _state(session, oracle):
+    return (
+        dict(oracle._table),
+        {x: set(who) for x, who in oracle.queried_by.items()},
+        session.metrics.snapshot(),
+        session.rng.getstate(),
+    )
+
+
+def test_batched_metering_matches_per_point_loop():
+    (s1, o1, w1), (s2, o2, _) = _twin_wrappers()
+    o1.query(b"seen", querier="P9")  # a point known before the batch
+    o2.query(b"seen", querier="P9")
+    batches = [[b"a", b"b", b"a", b"seen"], [b"b", b"c", b"c"], []]
+    for points in batches:
+        assert w1.evaluate("P0", points) == _per_point_evaluate(s2, o2, "P0", points)
+        assert _state(s1, o1) == _state(s2, o2)
+    assert s1.metrics.get("ro.total") == 8
+    assert s1.metrics.get("ro.by.P0") == 7
+
+
+def test_batched_metering_non_bytes_point_matches_per_point_loop():
+    (s1, o1, w1), (s2, o2, _) = _twin_wrappers()
+    points = [b"a", b"b", "not-bytes", b"c"]
+    with pytest.raises(TypeError):
+        w1.evaluate("P0", points)
+    with pytest.raises(TypeError):
+        _per_point_evaluate(s2, o2, "P0", points)
+    assert _state(s1, o1) == _state(s2, o2)
+    assert b"a" in o1._table and b"c" not in o1._table
+    assert s1.metrics.get("ro.total") == 2
+
+
+def test_batch_of_any_width_costs_one_unit_until_q_plus_one():
+    (session, _, wrapper), _ = _twin_wrappers(q=3)
+    for batch in range(3):
+        wrapper.evaluate("P0", [bytes([batch, i]) for i in range(50)])
+        assert wrapper.used("P0") == batch + 1
+    with pytest.raises(ResourceExhausted, match="batch 4 > q=3"):
+        wrapper.evaluate("P0", [b"one more"])
+    assert session.metrics.get("ro.batches") == 3
+    assert session.metrics.get("ro.points") == 150
