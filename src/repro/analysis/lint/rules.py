@@ -350,7 +350,10 @@ class LockDisciplineRule(Rule):
 
     #: class name -> (guarded attributes, lock attribute)
     GUARDED: Dict[str, Tuple[Set[str], str]] = {
-        "SchnorrGroup": ({"_fb_state", "_encoding_cache", "_fb_calls"}, "_accel_lock"),
+        "SchnorrGroup": (
+            {"_fb_state", "_encoding_cache", "_fb_calls", "_base_tables", "_base_evicted"},
+            "_accel_lock",
+        ),
         "Replenisher": ({"armed", "burn_nonces", "burn_feldman", "_seen_sums"}, "_lock"),
     }
     EXEMPT_METHODS = {"__init__", "__post_init__", "__setstate__", "__new__"}

@@ -16,7 +16,7 @@ Two parameter sets ship:
 Acceleration layer
 ------------------
 
-The group carries three caches, all mathematically transparent (every
+The group carries four caches, all mathematically transparent (every
 accelerated path returns bit-identical values to the naive formulas, so
 seeded executions are unaffected):
 
@@ -25,6 +25,16 @@ seeded executions are unaffected):
   :math:`g^{d \\cdot 2^{wi}}` digits (built lazily; small groups build it
   on first use, large groups after :data:`FIXED_BASE_AUTO_CALLS` uses or
   via an explicit :meth:`precompute_fixed_base`);
+* **per-base windows** — other bases a session reuses get the same kind
+  of table, built by the same builder, on an explicit
+  :meth:`fixed_base` hint; :meth:`exp` and :meth:`multi_exp` then use
+  it.  The self-tallying election hints its long-lived bases: the
+  election base ``w``, the RO seed ``r``, each voter's verification key
+  ``w_i`` and each ballot.  The cache is bounded by
+  :data:`BASE_TABLE_CACHE_BYTES` (oldest table evicted first and not
+  rebuilt while remembered, a table larger than the bound never built)
+  and, like every cache here, stores plain ``int`` whatever the
+  arithmetic tier, so values are bit-identical across tiers;
 * **simultaneous multi-exponentiation** — :meth:`multi_exp` evaluates
   :math:`\\prod b_i^{e_i}` sharing the squaring ladder between bases
   (Straus interleaving) when the modulus is large enough for Python-level
@@ -81,6 +91,28 @@ MULTI_EXP_MIN_BASES = 6
 
 #: Bound on the per-group encoding cache (entries).
 _ENCODING_CACHE_MAX = 4096
+
+#: Window width of the per-base tables built by
+#: :meth:`SchnorrGroup.fixed_base`.  Measured at 256 bits on the python
+#: tier (2-vCPU x86-64): a width-3 table builds in ~0.32 ms (2.5 ``pow``
+#: calls) and then gives a power in ~39 µs against ~127 µs for ``pow``.
+#: Widths 3 and 4 tie on a 4-voter election trial (width 4: 0.5 ms, 31 µs),
+#: but width 3 wastes less when tables are evicted before much reuse and
+#: fits more tables in the byte bound; 2 and 5 are slower.
+BASE_TABLE_WINDOW = 3
+
+#: Byte bound on one group's per-base table cache, counted like
+#: :attr:`SchnorrGroup.fb_table_bytes` (entries times the element width).
+#: It holds 48 tables of :data:`TEST_GROUP`, about 2 MB of Python ints:
+#: every reused base of a 23-voter election (2 + 2n tables).  A
+#: :data:`GROUP_2048` table (1.3 MiB) exceeds it and is never built, so
+#: 2048-bit groups keep plain ``pow``.
+BASE_TABLE_CACHE_BYTES = 1 << 20
+
+#: How many evicted per-base keys a group remembers (see
+#: :meth:`SchnorrGroup.fixed_base`): enough for the bases of a hundred
+#: concurrently hosted elections.
+_BASE_EVICTED_MAX = 4096
 
 
 # -- arithmetic backends ---------------------------------------------------
@@ -242,6 +274,47 @@ def _init_arith_from_env() -> None:
 _init_arith_from_env()
 
 
+# -- fixed-base window tables ----------------------------------------------
+
+
+def _build_window_table(base: int, window: int, rows: int, p: int) -> List[List[int]]:
+    """Rows of :math:`base^{d \\cdot 2^{window \\cdot i}}` for every digit ``d`` (``0 <= base < p``).
+
+    Built in the backend's native type, stored as plain ``int``: table
+    entries feed the element encoders and the RPM1 material serializer,
+    which require ``int``.
+    """
+    arith = _ARITH
+    modulus = arith.to_native(p)
+    table: List[List[int]] = []
+    power = arith.to_native(base)
+    for _ in range(rows):
+        row = [1] * (1 << window)
+        acc = arith.to_native(1)
+        for digit in range(1, 1 << window):
+            acc = acc * power % modulus
+            row[digit] = int(acc)
+        table.append(row)
+        power = acc * power % modulus  # power ** (2 ** window)
+    return table
+
+
+def _window_table_pow(table: List[List[int]], window: int, e: int, p: int) -> int:
+    """``base ** e`` from ``base``'s window table, for ``0 <= e < 2 ** (window * rows)``."""
+    mask = (1 << window) - 1
+    arith = _ARITH
+    modulus = arith.to_native(p)
+    result = arith.to_native(1)
+    index = 0
+    while e:
+        digit = e & mask
+        if digit:
+            result = result * table[index][digit] % modulus
+        e >>= window
+        index += 1
+    return int(result)
+
+
 @dataclass(frozen=True)
 class SchnorrGroup:
     """A cyclic group of prime order ``q`` inside Z_p^* with generator ``g``.
@@ -266,12 +339,22 @@ class SchnorrGroup:
         # Acceleration state (not dataclass fields: excluded from eq/hash/repr).
         # A group instance is shared across SessionPool thread workers, so
         # lazy population of these caches is guarded by ``_accel_lock``;
-        # reads stay lock-free (once set, the table never changes, and the
-        # encoding cache only ever gains idempotently-computed entries).
-        object.__setattr__(self, "_width", (self.p.bit_length() + 7) // 8)
+        # reads stay lock-free (once set, a table never changes, and the
+        # caches only ever gain or drop whole idempotently-computed entries).
+        width = (self.p.bit_length() + 7) // 8
+        object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_fb_state", None)
         object.__setattr__(self, "_fb_calls", 0)
         object.__setattr__(self, "_encoding_cache", {})
+        # Per-base tables, oldest first (dict order is the eviction order),
+        # and the keys evicted from them, likewise.  Every table has the
+        # same shape, so the byte bound is a count.
+        rows = (self.q.bit_length() + BASE_TABLE_WINDOW - 1) // BASE_TABLE_WINDOW
+        object.__setattr__(self, "_base_table_rows", rows)
+        table_bytes = rows * (1 << BASE_TABLE_WINDOW) * width
+        object.__setattr__(self, "_base_table_capacity", BASE_TABLE_CACHE_BYTES // table_bytes)
+        object.__setattr__(self, "_base_tables", {})
+        object.__setattr__(self, "_base_evicted", {})
         object.__setattr__(self, "_accel_lock", threading.Lock())
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -289,9 +372,16 @@ class SchnorrGroup:
     # -- group operations ------------------------------------------------
 
     def exp(self, base: int, exponent: int) -> int:
-        """``base ** exponent mod p`` (exponent reduced mod q)."""
+        """``base ** exponent mod p`` (exponent reduced mod q).
+
+        ``g`` and any base hinted through :meth:`fixed_base` take a window
+        table; every other base pays one full ``pow``.
+        """
         if base == self.g:
             return self.power_of_g(exponent)
+        table = self._base_tables.get(base % self.p)
+        if table is not None:
+            return _window_table_pow(table, BASE_TABLE_WINDOW, exponent % self.q, self.p)
         return _ARITH.powmod(base, exponent % self.q, self.p)
 
     def power_of_g(self, exponent: int) -> int:
@@ -363,6 +453,47 @@ class SchnorrGroup:
 
     # -- fixed-base acceleration ------------------------------------------
 
+    def fixed_base(self, *bases: int) -> None:
+        """Hint that each of ``bases`` will be raised to many powers.
+
+        Builds a :data:`BASE_TABLE_WINDOW` table for every base that has
+        none, so later :meth:`exp` and :meth:`multi_exp` calls on it cost
+        about a third of a full ``pow``.  Values are unchanged; only how
+        powers are computed.  The cache holds at most
+        :data:`BASE_TABLE_CACHE_BYTES` of tables and evicts the oldest
+        first; when one table alone exceeds the bound, hints are no-ops.
+
+        A base whose table was evicted is not rebuilt while the group
+        remembers the eviction.  Its re-hint shows that more bases are in
+        use than the cache holds (a large election, or many hosted at
+        once), and a rebuild would evict another live table: the cache
+        would thrash, and an election whose bases overflow it by a few
+        ran 40 % slower than with no tables at all.  Such a base pays
+        plain ``pow``.
+
+        Safe from concurrent threads: racing hints for one base may both
+        build, but only one table is kept.
+        """
+        capacity = self._base_table_capacity
+        if not capacity:
+            return
+        p = self.p
+        for base in bases:
+            key = base % p
+            if key == self.g or key in self._base_tables or key in self._base_evicted:
+                continue
+            table = _build_window_table(key, BASE_TABLE_WINDOW, self._base_table_rows, p)
+            with self._accel_lock:
+                if key in self._base_tables:
+                    continue
+                while len(self._base_tables) >= capacity:
+                    evicted = next(iter(self._base_tables))
+                    self._base_tables.pop(evicted)
+                    self._base_evicted[evicted] = None
+                while len(self._base_evicted) > _BASE_EVICTED_MAX:
+                    self._base_evicted.pop(next(iter(self._base_evicted)))
+                self._base_tables[key] = table
+
     def warm_up(self) -> "SchnorrGroup":
         """Eagerly build every lazy cache this group carries.
 
@@ -428,22 +559,8 @@ class SchnorrGroup:
             state = self._fb_state
             if state is not None and w == state[0]:
                 return
-            windows = (self.q.bit_length() + w - 1) // w
-            arith = _ARITH
-            p = arith.to_native(self.p)
-            table: List[List[int]] = []
-            base = arith.to_native(self.g)
-            for _ in range(windows):
-                # Build in the backend's native type, store plain ints:
-                # table entries feed ``element_to_bytes``-style encoders
-                # and the RPM1 material serializer, which require ``int``.
-                row = [1] * (1 << w)
-                acc = arith.to_native(1)
-                for digit in range(1, 1 << w):
-                    acc = acc * base % p
-                    row[digit] = int(acc)
-                table.append(row)
-                base = acc * base % p  # base ** (2 ** w)
+            rows = (self.q.bit_length() + w - 1) // w
+            table = _build_window_table(self.g, w, rows, self.p)
             object.__setattr__(self, "_fb_state", (w, table))
 
     def install_fixed_base(self, table: List[List[int]], window: int) -> None:
@@ -490,18 +607,7 @@ class SchnorrGroup:
     def _fixed_base_pow(self, e: int) -> int:
         """``g ** e`` via the window table (``e`` already reduced mod q)."""
         w, table = self._fb_state
-        mask = (1 << w) - 1
-        arith = _ARITH
-        p = arith.to_native(self.p)
-        result = arith.to_native(1)
-        index = 0
-        while e:
-            digit = e & mask
-            if digit:
-                result = result * table[index][digit] % p
-            e >>= w
-            index += 1
-        return int(result)
+        return _window_table_pow(table, w, e, self.p)
 
     # -- simultaneous multi-exponentiation ----------------------------------
 
@@ -512,7 +618,8 @@ class SchnorrGroup:
         ``a · y^e``; expressing them as ``multi_exp(((a, 1), (y, e)))``
         lets the group share squarings between simultaneous large
         exponentiations (Straus interleaving) where that pays off, and
-        fold generator powers into the fixed-base table.  Identical
+        fold generator powers into the fixed-base table.  Bases hinted
+        through :meth:`fixed_base` take their own tables.  Identical
         results to multiplying individual :meth:`exp` outputs.
         """
         q = self.q
@@ -532,11 +639,16 @@ class SchnorrGroup:
                 merged[b] = e if prior is None else (prior + e) % q
         result = 1
         general: List[Tuple[int, int]] = []
+        tables = self._base_tables
         for b, e in merged.items():
             if e == 0:
                 continue
             if e == 1:
                 result = result * b % p
+                continue
+            table = tables.get(b)
+            if table is not None:
+                result = result * _window_table_pow(table, BASE_TABLE_WINDOW, e, p) % p
             else:
                 general.append((b, e))
         if g_exponent:

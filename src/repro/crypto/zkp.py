@@ -227,6 +227,11 @@ def ballot_prove(
     choices = list(choices)
     if vote not in choices:
         raise ValueError("vote not in allowed choice set")
+    # Every branch raises these to fresh powers, and every verifier will
+    # again.  ``w`` and ``ballot`` see at most one power here, so their
+    # tables wait for the verifiers: built now, they were evicted unused
+    # whenever many elections ran at once.
+    group.fixed_base(key_base, seed)
     real_index = choices.index(vote)
     commitments: List[Tuple[int, int]] = [(0, 0)] * len(choices)
     challenges: List[int] = [0] * len(choices)
@@ -275,7 +280,13 @@ def ballot_verify(
     choices: Sequence[int],
     key_base: int = 0,
 ) -> bool:
-    """Verify a disjunctive ballot proof against the allowed choice set."""
+    """Verify a disjunctive ballot proof against the allowed choice set.
+
+    Branch ``v`` checks ``key_base^s == a1 · w^e`` and
+    ``seed^s == a2 · (ballot · g^{-v})^e``; the second is evaluated as
+    ``a2 · ballot^e · g^{-v·e}``, the same group element, so every base
+    is one the election reuses (hinted below) or ``g``.
+    """
     key_base = key_base or group.g
     choices = list(choices)
     if len(proof.branches) != len(choices):
@@ -286,11 +297,12 @@ def ballot_verify(
     global_challenge = _fs_challenge(group, *flat, domain=b"ballot-or")
     if sum(e for _, _, e, _ in proof.branches) % group.q != global_challenge:
         return False
+    group.fixed_base(key_base, seed, w, ballot)
+    g = group.g
     for (a1, a2, e, s), choice in zip(proof.branches, choices):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
-        if group.exp(key_base, s) != group.multi_exp(((a1, 1), (public1, e))):
+        if group.exp(key_base, s) != group.multi_exp(((a1, 1), (w, e))):
             return False
-        if group.exp(seed, s) != group.multi_exp(((a2, 1), (public2, e))):
+        if group.exp(seed, s) != group.multi_exp(((a2, 1), (ballot, e), (g, -choice * e))):
             return False
     return True
 

@@ -144,6 +144,9 @@ class AuthorityParty(Party):
             return
         self.dealt = True
         group, w = self.skg.parameters()
+        # ``w`` carries every share commitment here and every voter's
+        # key check in ``_finish_setup``.
+        group.fixed_base(w)
         voters = self.election.voters
         shares = [group.random_scalar(self.session.rng) for _ in voters[:-1]]
         shares.append((-sum(shares)) % group.q)

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.groups import (
     GROUP_2048,
@@ -229,7 +229,18 @@ def test_gmpy2_invert_error_type():
 
 
 class _FakeMpz(int):
-    """Stands in for gmpy2.mpz: an int subclass, so ``type(x) is int`` fails."""
+    """Stands in for gmpy2.mpz: an int subclass, so ``type(x) is int`` fails.
+
+    Products and remainders stay ``_FakeMpz``, as mpz arithmetic stays mpz.
+    """
+
+    def __mul__(self, other):
+        return _FakeMpz(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __mod__(self, other):
+        return _FakeMpz(int(self) % int(other))
 
 
 class _FakeGmpy2:
@@ -276,3 +287,182 @@ def test_jacobi_matches_euler_criterion_2048(a):
         assert jacobi(value, p) == 0
     else:
         assert (jacobi(value, p) == 1) == (pow(value, q, p) == 1)
+
+
+# -- per-base window tables ---------------------------------------------------
+
+
+def _non_residue(p: int) -> int:
+    return next(a for a in range(2, 100) if jacobi(a, p) == -1)
+
+
+_P = TEST_GROUP.p
+#: Edge bases for the table path: the trivial elements, -1, an element of
+#: order 2q outside the subgroup, unreduced and negative representatives,
+#: and g itself (which keeps its own table).
+TABLE_BASES = (0, 1, _P - 1, _non_residue(_P), _P + 12345, -7, TEST_GROUP.g, 5**40 % _P)
+TABLE_EXPONENTS = (0, TEST_GROUP.q, -1, TEST_GROUP.q + 3, 2 * TEST_GROUP.q - 1)
+
+
+@pytest.fixture(params=sorted(BACKENDS) + ["mpz-stub"])
+def table_backend(request, monkeypatch):
+    """Each importable backend, plus the gmpy2 wrapper over an mpz stub so
+    python-only hosts still build tables in a non-``int`` native type."""
+    if request.param == "mpz-stub":
+        import repro.crypto.groups as groups
+
+        monkeypatch.setattr(groups, "_ARITH", Gmpy2Arith(_FakeGmpy2()))
+    else:
+        set_arith_backend(request.param)
+    return request.param
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from(TABLE_BASES),
+    exponent=st.one_of(
+        st.sampled_from(TABLE_EXPONENTS),
+        st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    ),
+)
+def test_table_backed_exp_matches_pow(table_backend, base, exponent):
+    group = fresh_group()
+    group.fixed_base(base)
+    result = group.exp(base, exponent)
+    assert result == pow(base, exponent % group.q, group.p)
+    assert type(result) is int
+
+
+def test_fixed_base_tables_hold_plain_ints(table_backend):
+    group = fresh_group()
+    group.fixed_base(*TABLE_BASES)
+    assert set(group._base_tables) == {b % group.p for b in TABLE_BASES} - {group.g}
+    assert all(
+        type(entry) is int for table in group._base_tables.values() for row in table for entry in row
+    )
+
+
+def test_multi_exp_with_hinted_bases_matches_pow_product(table_backend):
+    group = fresh_group()
+    p, q = group.p, group.q
+    b1, b2, b3 = 5**40 % p, 7**50 % p, _non_residue(p)
+    group.fixed_base(b1, b2)
+    pairs = (
+        (b1, 3 * q + 11),
+        (b1 + p, q - 4),  # merges with b1: exponents sum to 7 mod q
+        (b2, -1),
+        (b3, 1 << 200),  # no table: the pow fallback
+        (group.g, 9),
+        (b2, 1),  # merges with b2 to exponent 0: drops out
+        (0, q),  # exponent 0: ignored, as pow(0, 0) == 1
+    )
+    expected = 1
+    for base, e in pairs:
+        expected = expected * pow(base, e % q, p) % p
+    result = group.multi_exp(pairs)
+    assert result == expected
+    assert type(result) is int
+
+
+def _base_table_bytes(group: SchnorrGroup) -> int:
+    return sum(len(table) * len(table[0]) * group._width for table in group._base_tables.values())
+
+
+def test_base_table_cache_evicts_oldest_within_byte_bound():
+    from repro.crypto.groups import BASE_TABLE_CACHE_BYTES
+
+    group = fresh_group()
+    capacity = group._base_table_capacity
+    assert capacity >= 2 + 2 * 8  # an 8-voter election's reused bases fit
+    bases = [pow(3, k, group.p) for k in range(1, capacity + 4)]
+    group.fixed_base(*bases)
+    assert list(group._base_tables) == bases[-capacity:]
+    assert list(group._base_evicted) == bases[:-capacity]
+    assert _base_table_bytes(group) <= BASE_TABLE_CACHE_BYTES
+    assert group.exp(bases[0], 99) == pow(bases[0], 99, group.p)  # evicted: pow
+
+
+def test_rehinted_evicted_bases_do_not_thrash_the_cache():
+    # More live bases than slots, hinted round-robin as an election's
+    # verifiers do: the first pass evicts the oldest few, and later passes
+    # keep the resident tables instead of rebuilding what was evicted.
+    group = fresh_group()
+    bases = [pow(3, k, group.p) for k in range(1, group._base_table_capacity + 5)]
+    group.fixed_base(*bases)
+    resident = dict(group._base_tables)
+    for _ in range(3):
+        group.fixed_base(*bases)
+    assert group._base_tables.keys() == resident.keys()
+    assert all(group._base_tables[key] is table for key, table in resident.items())
+    for base in bases:
+        assert group.exp(base, -5) == pow(base, group.q - 5, group.p)
+
+
+def test_evicted_key_memory_is_bounded(monkeypatch):
+    import repro.crypto.groups as groups
+
+    monkeypatch.setattr(groups, "_BASE_EVICTED_MAX", 3)
+    group = fresh_group()
+    bases = [pow(3, k, group.p) for k in range(1, group._base_table_capacity + 6)]
+    group.fixed_base(*bases)
+    assert list(group._base_evicted) == bases[2:5]
+    group.fixed_base(bases[0])  # forgotten: a new base again, so it is built
+    assert bases[0] in group._base_tables
+
+
+def test_base_table_byte_bound_holds_on_group_2048():
+    from repro.crypto.groups import BASE_TABLE_CACHE_BYTES
+
+    group = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
+    bases = (3, 5, GROUP_2048.p - 1)
+    group.fixed_base(*bases)
+    assert _base_table_bytes(group) <= BASE_TABLE_CACHE_BYTES
+    assert group._base_tables == {}  # one 2048-bit table alone exceeds the bound
+    for base in bases:
+        assert group.exp(base, 1 << 1000) == pow(base, (1 << 1000) % group.q, group.p)
+
+
+def test_pickled_and_setstate_clones_carry_no_base_tables():
+    group = fresh_group()
+    group.fixed_base(3, 5)
+    assert len(group._base_tables) == 2
+    group.fixed_base(*(pow(7, k, group.p) for k in range(group._base_table_capacity)))
+    assert group._base_evicted
+    clone = pickle.loads(pickle.dumps(group))
+    assert clone._base_tables == {} and clone._base_evicted == {}
+    rebuilt = SchnorrGroup.__new__(SchnorrGroup)
+    rebuilt.__setstate__(group.__getstate__())
+    assert rebuilt._base_tables == {} and rebuilt._base_evicted == {}
+    assert clone.exp(3, 777) == group.exp(3, 777) == rebuilt.exp(3, 777)
+
+
+def test_concurrent_hints_for_one_base_keep_one_table():
+    # The cache sits one short of full; racing hints for one new base must
+    # insert it once and evict nothing (a lost re-check would evict once
+    # per extra insert).
+    import sys
+    import threading
+
+    group = fresh_group()
+    earlier = [pow(3, k, group.p) for k in range(1, group._base_table_capacity)]
+    group.fixed_base(*earlier)
+    base = 5**40 % group.p
+    barrier = threading.Barrier(8)
+
+    def hint() -> None:
+        barrier.wait(timeout=10)
+        group.fixed_base(base)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hint) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert list(group._base_tables) == earlier + [base]
+    assert group.exp(base, 12345) == pow(base, 12345, group.p)

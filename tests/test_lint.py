@@ -259,6 +259,22 @@ def test_rpr004_flags_unlocked_object_setattr():
     assert rule_ids(findings) == ["RPR004"]
 
 
+def test_rpr004_flags_unlocked_base_table_insert_and_eviction():
+    findings, _ = findings_for(
+        """
+        class SchnorrGroup:
+            def fixed_base(self, key, table):
+                evicted = next(iter(self._base_tables))
+                self._base_tables.pop(evicted)
+                self._base_evicted[evicted] = None
+                self._base_tables[key] = table
+        """,
+        "crypto/groups.py",
+    )
+    assert rule_ids(findings) == ["RPR004"] * 3
+    assert [f.message.split("'")[1] for f in findings] == ["_base_tables", "_base_evicted", "_base_tables"]
+
+
 def test_rpr004_flags_replenisher_registry():
     findings, _ = findings_for(
         """

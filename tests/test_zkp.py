@@ -1,10 +1,15 @@
 """Σ-protocol proofs: completeness and soundness rejection paths."""
 
+from typing import List, Sequence
+
 import pytest
 
-from repro.crypto.groups import TEST_GROUP
+from repro.crypto.batch import verify_batch
+from repro.crypto.groups import TEST_GROUP, SchnorrGroup, jacobi
 from repro.crypto.zkp import (
     BallotProof,
+    _fs_challenge,
+    ballot_batch_item,
     ballot_prove,
     ballot_verify,
     cp_prove,
@@ -121,3 +126,150 @@ def test_ballot_challenge_sum_checked(rng):
     a1, a2, e, s = proof.branches[0]
     forged = BallotProof(branches=((a1, a2, (e + 1) % G.q, s),) + proof.branches[1:])
     assert not ballot_verify(G, seed, w, ballot, forged, choices)
+
+
+# ---------------------------------------------------------------------------
+# Verifier parity: the reused-base rewrite against the previous verifier
+# ---------------------------------------------------------------------------
+
+
+def _reference_ballot_statement(group, seed, w, ballot, vote):
+    """Statement for branch ``vote``: log_g(w) = log_seed(ballot / g^vote)."""
+    shifted = group.mul(ballot, group.inv(group.power_of_g(vote)))
+    return w, shifted
+
+
+def reference_ballot_verify(
+    group: SchnorrGroup,
+    seed: int,
+    w: int,
+    ballot: int,
+    proof: BallotProof,
+    choices: Sequence[int],
+    key_base: int = 0,
+) -> bool:
+    """The verifier before the rewrite, verbatim: per-choice ``ballot / g^v`` bases."""
+    key_base = key_base or group.g
+    choices = list(choices)
+    if len(proof.branches) != len(choices):
+        return False
+    flat: List[int] = [seed, w, ballot]
+    for a1, a2, _, _ in proof.branches:
+        flat.extend((a1, a2))
+    global_challenge = _fs_challenge(group, *flat, domain=b"ballot-or")
+    if sum(e for _, _, e, _ in proof.branches) % group.q != global_challenge:
+        return False
+    for (a1, a2, e, s), choice in zip(proof.branches, choices):
+        public1, public2 = _reference_ballot_statement(group, seed, w, ballot, choice)
+        if group.exp(key_base, s) != group.multi_exp(((a1, 1), (public1, e))):
+            return False
+        if group.exp(seed, s) != group.multi_exp(((a2, 1), (public2, e))):
+            return False
+    return True
+
+
+#: The reference runs on a cold clone: no per-base tables are ever hinted
+#: there, so its powers come from plain ``pow`` (and ``g``'s own table).
+REFERENCE_GROUP = SchnorrGroup(p=G.p, q=G.q, g=G.g)
+NON_RESIDUE = next(a for a in range(2, 100) if jacobi(a, G.p) == -1)
+NON_MEMBERS = (0, G.p - 1, NON_RESIDUE)
+
+
+def _reseal(seed, w, ballot, branches, index=0):
+    """Re-balance branch ``index``'s challenge so the Fiat–Shamir sum holds
+    again, pushing a tampered proof past the cheap check into the equations."""
+    flat = [seed, w, ballot]
+    for a1, a2, _, _ in branches:
+        flat.extend((a1, a2))
+    target = _fs_challenge(G, *flat, domain=b"ballot-or")
+    others = sum(e for i, (_, _, e, _) in enumerate(branches) if i != index)
+    a1, a2, _, s = branches[index]
+    branches = list(branches)
+    branches[index] = (a1, a2, (target - others) % G.q, s)
+    return BallotProof(branches=tuple(branches))
+
+
+def _replace(branches, index, position, value):
+    branch = list(branches[index])
+    branch[position] = value
+    return branches[:index] + (tuple(branch),) + branches[index + 1:]
+
+
+def _mutation_corpus(rng):
+    """(label, seed, w, ballot, proof, choices, key_base) verification cases."""
+    cases = []
+    election_base = G.random_element(rng)
+    for choices, key_base in (([1, 5, 25], election_base), ([0, 1], 0)):
+        base = key_base or G.g
+        honest = []
+        for vote in choices:
+            x = G.random_scalar(rng)
+            w = G.exp(base, x)
+            seed = G.random_element(rng)
+            ballot = G.mul(G.exp(seed, x), G.power_of_g(vote))
+            proof = ballot_prove(G, seed, w, ballot, x, vote, choices, rng, key_base=key_base)
+            honest.append((seed, w, ballot, proof))
+        for n, (seed, w, ballot, proof) in enumerate(honest):
+            label = f"{choices}/vote{n}"
+            statement, context = (seed, w, ballot), (choices, key_base)
+            cases.append((label + "/honest", *statement, proof, *context))
+            branches = proof.branches
+            for i in range(len(branches)):
+                a1, a2, e, s = branches[i]
+                j = (i + 1) % len(branches)
+                for position, name, value in (
+                    (0, "a1", a1 * G.g % G.p),
+                    (1, "a2", a2 * G.g % G.p),
+                    (2, "e", (e + 1) % G.q),
+                    (3, "s", (s + 1) % G.q),
+                ):
+                    mutated = _replace(branches, i, position, value)
+                    cases.append((f"{label}/{name}{i}", *statement, BallotProof(mutated), *context))
+                    if name != "e":  # resealing e would restore it; see shift below
+                        resealed = _reseal(*statement, mutated, j)
+                        cases.append((f"{label}/{name}{i}/resealed", *statement, resealed, *context))
+                shifted = _replace(branches, i, 2, (e + 7) % G.q)
+                shifted = _replace(shifted, j, 2, (branches[j][2] - 7) % G.q)
+                cases.append((f"{label}/shift{i}", *statement, BallotProof(shifted), *context))
+                for value in NON_MEMBERS:
+                    resealed = _reseal(*statement, _replace(branches, i, 1, value), j)
+                    cases.append((f"{label}/a2={value}@{i}", *statement, resealed, *context))
+            other_seed, other_w, other_ballot, _ = honest[(n + 1) % len(honest)]
+            for name, swapped in (
+                ("ballot-swap", (seed, w, other_ballot)),
+                ("key-swap", (seed, other_w, ballot)),
+                ("seed-swap", (other_seed, w, ballot)),
+            ):
+                cases.append((f"{label}/{name}", *swapped, proof, *context))
+                cases.append((f"{label}/{name}/resealed", *swapped, _reseal(*swapped, branches), *context))
+            swapped_base = G.g if key_base else election_base
+            cases.append((f"{label}/key-base-swap", *statement, proof, choices, swapped_base))
+            for value in NON_MEMBERS + (G.p - ballot,):
+                resealed = _reseal(seed, w, value, branches)
+                cases.append((f"{label}/ballot={value}", seed, w, value, resealed, *context))
+            for name, altered in (
+                ("reordered", list(reversed(choices))),
+                ("extended", choices + [7]),
+                ("shortened", choices[:-1]),
+            ):
+                cases.append((f"{label}/{name}", *statement, proof, altered, key_base))
+    return cases
+
+
+def test_ballot_verify_matches_reference_on_mutation_corpus(rng):
+    corpus = _mutation_corpus(rng)
+    verdicts = []
+    for label, seed, w, ballot, proof, choices, key_base in corpus:
+        expected = reference_ballot_verify(REFERENCE_GROUP, seed, w, ballot, proof, choices, key_base)
+        assert ballot_verify(G, seed, w, ballot, proof, choices, key_base) == expected, label
+        verdicts.append(expected)
+    # The corpus exercises both outcomes, and accepted cases beyond the honest ones
+    # would show that a mutation slipped through both verifiers.
+    assert sum(verdicts) == sum(label.endswith("/honest") for label, *_ in corpus)
+    assert len(verdicts) - sum(verdicts) > 200
+
+    items = [
+        ballot_batch_item(G, seed, w, ballot, proof, choices, key_base)
+        for _, seed, w, ballot, proof, choices, key_base in corpus
+    ]
+    assert list(verify_batch(G, items).verdicts) == verdicts
