@@ -152,7 +152,7 @@ def test_e18_shared_attach_beats_recompute(benchmark):
         protocol="material",
         n=None,
         rounds=None,
-        backend="pooled",
+        backend="sequential",
         material_source="shared",
         attach_speedup=round(stats["attach_speedup"], 3),
         attach_ms=round(stats["attach_s"] * 1000, 3),

@@ -135,7 +135,7 @@ def test_e19_online_signing_beats_per_call(benchmark):
         protocol="schnorr",
         n=None,
         rounds=None,
-        backend="pooled",
+        backend="sequential",
         material_source="disk",
         online=True,
         online_speedup=round(stats["speedup"], 3),

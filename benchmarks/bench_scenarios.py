@@ -52,7 +52,7 @@ def test_e16_scenario_matrix_conformance(benchmark):
         protocol="scenarios",
         n=max(spec.n for spec in MATRIX.expand()),
         rounds=sum(cell.rounds for cell in report.cells),
-        backend="sequential+pooled",
+        backend="sequential",
         cells=len(report.cells),
         stacks=len(MATRIX.stacks),
         adversaries=len(MATRIX.adversaries),
@@ -80,7 +80,7 @@ def test_e16b_matrix_cells_shard_across_processes(benchmark):
         protocol="scenarios",
         n=max(spec.n for spec in MATRIX.expand()),
         rounds=sum(cell.rounds for cell in fanned.cells),
-        backend="sequential+pooled",
+        backend="sequential",
         cells=len(fanned.cells),
         executor="process",
         workers=2,

@@ -560,12 +560,11 @@ class WorkerSupervisionRule(Rule):
     where an unbounded wait is provably safe (thread executors,
     post-``terminate()`` reaping) carry ``# repro: allow[RPR007]``.
 
-    The asyncio engine extends the same invariant to coroutines: every
-    ``asyncio.wait_for``/``asyncio.wait`` must carry a concrete (non-
-    ``None``) timeout, and an awaited zero-arg queue ``.get()`` counts
-    as bounded only when it is the wrapped first argument of such a
-    bounded ``wait_for`` — the pattern ``runtime/aio.py`` uses for every
-    mailbox and conductor wait.
+    The same invariant covers coroutines, should ``runtime/`` ever
+    await anything: every ``asyncio.wait_for``/``asyncio.wait`` must
+    carry a concrete (non-``None``) timeout, and an awaited zero-arg
+    queue ``.get()`` counts as bounded only when it is the wrapped first
+    argument of such a bounded ``wait_for``.
     """
 
     id = "RPR007"
@@ -602,8 +601,7 @@ class WorkerSupervisionRule(Rule):
                         node,
                         f"asyncio.{wait_name}() without a concrete timeout "
                         "suspends forever on a coroutine that may never "
-                        "resolve; pass timeout= (the async driver bounds "
-                        "every await with STEP_TIMEOUT_S)",
+                        "resolve; pass timeout=",
                     )
                 continue
             if not isinstance(node.func, ast.Attribute):
@@ -692,8 +690,8 @@ class WorkerSupervisionRule(Rule):
         """First arguments of every *bounded* ``asyncio.wait_for`` call.
 
         A zero-arg queue ``.get()`` appearing there is the event-driven
-        idiom for a supervised wait (``runtime/aio.py``'s mailbox and
-        conductor waits) and must not trip the unbounded-``.get()`` arm.
+        idiom for a supervised wait and must not trip the
+        unbounded-``.get()`` arm.
         """
         wrapped: Set[ast.AST] = set()
         for node in ast.walk(tree):

@@ -7,7 +7,7 @@ Usage::
     python -m repro.cli election  --voters 5 --candidates yes no
     python -m repro.cli auction   --bids 410 365 298
     python -m repro.cli lineage   --n 4 16 64
-    python -m repro.cli bench     --sessions 32 --backend pooled --compare
+    python -m repro.cli bench     --sessions 32 --compare
     python -m repro.cli sweep     --sessions 64 --executor process --workers 4 --verify
     python -m repro.cli material  build --for-sweep 64
     python -m repro.cli sweep     --sessions 64 --material shared --adaptive
@@ -17,9 +17,10 @@ Usage::
     python -m repro.cli serve     --sessions 256 --duration 30 --online --material disk
 
 Every protocol command accepts ``--backend`` to pick the execution
-backend (``sequential`` is the reference engine; ``pooled`` / ``batched``
-are the runtime's throughput drivers; ``async`` is the event-driven
-engine behind ``serve``).  The top-level ``--arith`` flag selects the
+backend (``sequential`` is the reference engine and the default;
+``batched`` trades the event trace for throughput).  ``serve`` runs its
+sessions through the same :class:`repro.runtime.pool.SessionPool` as
+``bench`` and ``sweep``.  The top-level ``--arith`` flag selects the
 big-integer arithmetic tier (``auto`` picks gmpy2 when installed;
 results are identical across tiers, only speed changes), and
 ``--batch-verify`` on the sweep/bench/scenario/election commands batches
@@ -43,7 +44,11 @@ from repro.analysis.tables import format_table
 def _cmd_sbc(args: argparse.Namespace) -> int:
     from repro.core import build_sbc_stack
 
-    stack = build_sbc_stack(n=args.n, mode=args.mode, seed=args.seed, backend=args.backend)
+    try:
+        stack = build_sbc_stack(n=args.n, mode=args.mode, seed=args.seed, backend=args.backend)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     messages = args.messages or ["hello", "world"]
     for index, text in enumerate(messages):
         stack.parties[f"P{index % args.n}"].broadcast(text.encode())
@@ -58,7 +63,11 @@ def _cmd_sbc(args: argparse.Namespace) -> int:
 def _cmd_beacon(args: argparse.Namespace) -> int:
     from repro.core import build_durs_stack
 
-    stack = build_durs_stack(n=args.n, mode=args.mode, seed=args.seed, backend=args.backend)
+    try:
+        stack = build_durs_stack(n=args.n, mode=args.mode, seed=args.seed, backend=args.backend)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     stack.parties["P0"].urs_request()
     stack.run_until_urs()
     urs = stack.urs_values()["P0"]
@@ -73,12 +82,16 @@ def _cmd_election(args: argparse.Namespace) -> int:
     candidates = tuple(args.candidates)
     policy = BatchPolicy() if args.batch_verify else None
     with batching(policy):
-        stack = build_voting_stack(
-            voters=args.voters, mode=args.mode, seed=args.seed, candidates=candidates,
-            phi=max(4, 5 if args.mode == "composed" else 4),
-            delta=mode_delta(args.mode),
-            backend=args.backend,
-        )
+        try:
+            stack = build_voting_stack(
+                voters=args.voters, mode=args.mode, seed=args.seed, candidates=candidates,
+                phi=max(4, 5 if args.mode == "composed" else 4),
+                delta=mode_delta(args.mode),
+                backend=args.backend,
+            )
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         if args.mode == "ideal":
             stack.service.init()
         else:
@@ -117,8 +130,23 @@ def _cmd_auction(args: argparse.Namespace) -> int:
     return 0
 
 
+def _probe_stack(workload: str, params: dict) -> None:
+    """Build one untimed stack from a trial runner's parameters.
+
+    Bad parameters (fewer than one party, a violated Theorem 2 ∆ or Φ)
+    raise ValueError here, before any session runs.
+    """
+    from repro.core import build_sbc_stack, build_voting_stack, mode_delta
+
+    kwargs = {key: params[key] for key in ("mode", "phi", "delta") if params.get(key) is not None}
+    kwargs.setdefault("delta", mode_delta(params["mode"]))
+    if workload == "voting":
+        build_voting_stack(voters=params["voters"], **kwargs)
+    else:
+        build_sbc_stack(n=params["n"], **kwargs)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.core import build_sbc_stack
     from repro.runtime import SessionPool, SweepConfig, sequential_loop
 
     if args.sessions < 1:
@@ -129,9 +157,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         n=args.n, mode=args.mode, phi=args.phi, delta=args.delta, senders=args.senders
     )
     try:
-        # One untimed stack: a violated Theorem 2 precondition (∆, Φ)
-        # raises here, before any session runs.
-        build_sbc_stack(n=args.n, mode=args.mode, phi=args.phi, delta=args.delta)
+        _probe_stack("sbc", params)
         config = SweepConfig.from_args(args, backend=args.backend)
         pool = SessionPool(config=config, **params)
     except ValueError as exc:
@@ -217,6 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         from repro.runtime import SweepConfig
 
+        _probe_stack(args.workload, params)
         config = SweepConfig.from_args(args, backend=args.backend, trace=trace)
         sweep = ParallelSweep(runner=runner, config=config, **params)
     except ValueError as exc:
@@ -309,15 +336,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Sessions ``repro serve`` starts per admission wave under ``--duration``;
+#: the wall budget is checked before each wave.
+SERVE_WAVE = 64
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
+    import time
 
     from repro.core import mode_delta
+    from repro.crypto.groups import TEST_GROUP
     from repro.runtime import (
-        AsyncSessionHost,
+        OnlinePlan,
+        PoolReport,
+        SessionPool,
         SweepConfig,
-        async_sbc_session,
-        async_voting_session,
         online_ranges_disjoint,
         run_sbc_trial,
         run_voting_trial,
@@ -327,52 +361,68 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--sessions must be >= 1 (a host with no sessions has nothing "
               "to report)", file=sys.stderr)
         return 2
-    try:
-        config = SweepConfig.from_args(args, backend=args.backend)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    # Inline hosting interleaves coroutine sessions on the loop; the
-    # executor modes offload the picklable synchronous trial runners.
     if args.workload == "voting":
-        runner = async_voting_session if config.executor == "inline" else run_voting_trial
+        runner = run_voting_trial
         params = dict(voters=args.n, mode=args.mode, delta=mode_delta(args.mode))
     else:
-        runner = async_sbc_session if config.executor == "inline" else run_sbc_trial
+        runner = run_sbc_trial
         params = dict(n=args.n, mode=args.mode, delta=mode_delta(args.mode))
+    seeds = list(range(args.seed, args.seed + args.sessions))
     try:
-        host = AsyncSessionHost(
-            runner,
-            config=config,
-            session_timeout_s=args.session_timeout_s,
-            **params,
-        )
+        _probe_stack(args.workload, params)
+        config = SweepConfig.from_args(args, backend=args.backend)
+        if config.online:
+            # One plan over every seed, so each wave spends its own
+            # slots instead of re-planning from slot 0.
+            config = config.replace(online=OnlinePlan.for_tasks(
+                seeds, group=TEST_GROUP, consume_forward=config.consume_forward
+            ))
+        pool = SessionPool(runner, config=config, **params)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    seeds = list(range(args.seed, args.seed + args.sessions))
-    report = host.run(seeds, duration_s=args.duration)
-    if not report.results:
+    wave = len(seeds) if args.duration is None else SERVE_WAVE
+    reports = []
+    start = time.perf_counter()
+    for index in range(0, len(seeds), wave):
+        if args.duration is not None and time.perf_counter() - start >= args.duration:
+            break
+        reports.append(pool.run(seeds[index:index + wave]))
+    elapsed = time.perf_counter() - start
+    if not reports:
         print("the host admitted no sessions before --duration elapsed",
               file=sys.stderr)
         return 2
-    disjoint = True
-    spends = 0
+    online_spend = None
     if config.online:
-        disjoint, spends = online_ranges_disjoint(report.results)
+        online_spend = {
+            key: sum(report.online_spend[key] for report in reports)
+            for key in reports[0].online_spend
+        }
+    report = PoolReport(
+        backend=reports[0].backend,
+        executor=config.executor,
+        wall_time_s=elapsed,
+        results=[result for wave_report in reports for result in wave_report.results],
+        workers=reports[0].workers,
+        material_source=reports[0].material_source,
+        online_spend=online_spend,
+    )
+    record = report.summary()
+    sessions_per_s = report.sessions / max(elapsed, 1e-9)
+    record["sessions_per_s"] = round(sessions_per_s, 3)
+    disjoint, spends = online_ranges_disjoint(report.results)
+    if config.online:
+        record["spends_checked"] = spends
+        record["spends_disjoint"] = disjoint
     if args.json:
-        record = report.summary()
-        if config.online:
-            record["spends_checked"] = spends
-            record["spends_disjoint"] = disjoint
         print(json.dumps(record, indent=2))
     else:
         print(format_table(
-            [report.summary()],
+            [record],
             title=f"serve: {report.sessions} x {args.workload} ({args.mode})",
         ))
-        print(f"sessions/sec: {report.sessions_per_s:.1f}  "
-              f"(completed out of submission order: {report.interleaved})")
+        print(f"sessions/sec: {sessions_per_s:.1f}")
         if config.online:
             print(f"online spends checked: {spends}  disjoint: "
                   f"{'yes' if disjoint else 'NO'}")
@@ -637,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true",
         help="also run the sequential reference loop and print the speedup",
     )
-    p.set_defaults(func=_cmd_bench, backend="pooled")
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "sweep",
@@ -673,16 +723,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the resolved plan (with adaptivity trace) and report "
              "as JSON instead of tables",
     )
-    p.set_defaults(func=_cmd_sweep, backend="pooled")
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
         "serve",
-        help="service mode: host N concurrent sessions on one asyncio "
-             "loop (the event-driven `async` backend)",
+        help="service mode: run N sessions through the session pool, "
+             "admitted in waves under a wall budget",
     )
     common(p)
     p.add_argument("--sessions", type=int, default=64,
-                   help="number of concurrent sessions to host")
+                   help="number of sessions to run")
     p.add_argument("--n", type=int, default=3,
                    help="parties (sbc) or voters (voting) per session")
     p.add_argument(
@@ -692,17 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
-        help="admission budget: stop starting new sessions once this "
-             "much wall time has elapsed (admitted sessions finish)",
-    )
-    p.add_argument(
-        "--session-timeout-s", type=float, default=600.0,
-        help="wall-clock bound on one executor-offloaded session",
+        help="admission budget: sessions start in waves of "
+             f"{SERVE_WAVE}, and no wave starts once this much wall time "
+             "has elapsed (started waves finish)",
     )
     add_sweep_options(p, executor_default="inline", trace_default="light")
     p.add_argument("--json", action="store_true",
-                   help="emit the host report as JSON")
-    p.set_defaults(func=_cmd_serve, backend="async")
+                   help="emit the report as JSON")
+    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "material",

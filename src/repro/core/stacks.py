@@ -99,6 +99,12 @@ def _modes(mode: str, allowed: Sequence[str]) -> None:
         raise ValueError(f"mode must be one of {list(allowed)}, got {mode!r}")
 
 
+def _require_parties(count: int, what: str = "n") -> None:
+    """An empty world has no honest party to deliver to: refuse it up front."""
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1 (a stack needs a party), got {count}")
+
+
 # ---------------------------------------------------------------------------
 # FBC fixture (used by FBC tests/benches and by the composed TLE stack)
 # ---------------------------------------------------------------------------
@@ -176,6 +182,7 @@ def build_tle_stack(
         * ``composed`` — ΠTLE over ΠFBC over ideal ``FUBC`` (∆ = α = 2).
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
+    _require_parties(n)
     session = Session(sid=f"tle-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)
     pids = [f"P{i}" for i in range(n)]
     fbc = None
@@ -274,6 +281,7 @@ def build_sbc_stack(
           ΠTLE-over-ΠFBC-over-ΠUBC (α = 3, ∆ ≥ 3, Φ > 3).
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
+    _require_parties(n)
     session = Session(sid=f"sbc-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)
     pids = [f"P{i}" for i in range(n)]
     ubc = None
@@ -366,6 +374,7 @@ def build_durs_stack(
           (needs Φ > 3 and ∆ − Φ ≥ 3, since the composed SBC has α = 3).
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
+    _require_parties(n)
     if mode != "ideal" and not (delta > phi > 0 and delta - phi >= alpha):
         raise ValueError("Theorem 3 requires delta > phi > 0 and delta - phi >= alpha")
     session = Session(sid=f"durs-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)
@@ -479,6 +488,7 @@ def build_voting_stack(
           frame is widened).
     """
     _modes(mode, ("ideal", "hybrid", "composed"))
+    _require_parties(voters, "voters")
     session = Session(sid=f"vote-{mode}", seed=seed, adversary=adversary, backend=backend, trace=trace)
     voter_pids = [f"V{i}" for i in range(voters)]
     election = Election(voters=tuple(voter_pids), candidates=tuple(candidates))

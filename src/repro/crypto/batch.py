@@ -274,8 +274,8 @@ class BatchPolicy:
         return verify_batch(group, items, seed=self.seed, min_items=self.min_items)
 
 
-#: ContextVar, not a module global: concurrent sessions hosted in one
-#: asyncio loop each scope their own policy (see
+#: ContextVar, not a module global: concurrently running sessions each
+#: scope their own policy (see
 #: :data:`repro.crypto.randomness._SOURCE` for the full rationale).
 _POLICY: ContextVar[Optional[BatchPolicy]] = ContextVar(
     "repro_batch_policy", default=None

@@ -101,12 +101,11 @@ class SampleSource(RandomnessSource):
 
 #: The ambient source consulted by signing/proving/sharing.  A
 #: :class:`~contextvars.ContextVar` rather than a module global so each
-#: asyncio task (and each thread) scopes its own source: the async
-#: session host runs many trials concurrently in one event loop, and a
-#: ``with spending(cursor)`` inside one session's task must never leak
-#: its pool cursor into an interleaved session — that would be a
-#: double-spend.  Synchronous callers see the same semantics as the old
-#: global: install/read in one thread behaves identically.
+#: thread (and each asyncio task, for embedding callers) scopes its own
+#: source: a ``with spending(cursor)`` inside one session must never
+#: leak its pool cursor into a concurrently running session — that
+#: would be a double-spend.  Single-threaded callers see the same
+#: semantics as the old global.
 _SOURCE: ContextVar[RandomnessSource] = ContextVar(
     "repro_randomness_source", default=SampleSource()
 )

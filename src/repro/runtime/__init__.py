@@ -4,16 +4,16 @@ The runtime separates *what* a protocol does (parties, functionalities,
 the clock — :mod:`repro.uc`) from *how* an execution is driven:
 
 * :class:`~repro.runtime.backend.ExecutionBackend` — a named bundle of
-  round driver, scheduler drain policy and trace mode (``sequential``,
-  ``pooled``, ``batched``);
-* :class:`~repro.runtime.driver.RoundDriver` — the round loop behind
-  :class:`~repro.uc.environment.Environment` and every stack builder;
+  scheduler drain policy and trace mode (``sequential``, ``batched``);
+* :class:`~repro.runtime.driver.RoundDriver` — the one synchronous round
+  loop behind :class:`~repro.uc.environment.Environment` and every stack
+  builder;
 * :class:`~repro.runtime.scheduler.BatchScheduler` — per-round message
   queues drained in batches instead of per-message callbacks;
 * :class:`~repro.runtime.pool.SessionPool` — N independent sessions
-  (seed sweeps, repeated executions) through one driver, inline or via
-  ``concurrent.futures`` workers with chunked dispatch and per-worker
-  crypto warm-up;
+  (seed sweeps, repeated executions, ``repro serve``) through one
+  driver, inline or via ``concurrent.futures`` workers with chunked
+  dispatch and per-worker crypto warm-up;
 * :class:`~repro.runtime.sweep.ParallelSweep` — the multi-core sweep
   driver: plans worker/chunk shape for any ``(runner, task list)``
   workload and verifies digest equality against the inline reference;
@@ -24,43 +24,20 @@ the clock — :mod:`repro.uc`) from *how* an execution is driven:
   the :class:`~repro.runtime.supervisor.ChaosPlan` fault harness;
 * :class:`~repro.runtime.config.SweepConfig` — the one frozen config
   object every entry point (``SessionPool``, ``ParallelSweep``,
-  ``run_matrix``, ``AsyncSessionHost``, the CLI) builds its execution
-  knobs from;
-* :class:`~repro.runtime.aio.AsyncSessionHost` — service mode: N
-  concurrent sessions on one asyncio loop under the event-driven
-  ``async`` backend (:class:`~repro.runtime.aio.AsyncRoundDriver`),
-  digest-equal to ``sequential``.
+  ``run_matrix``, the CLI) builds its execution knobs from.
 
 The ``sequential`` backend is the default everywhere and reproduces the
 pre-runtime engine byte-for-byte (same seed, same trace).
 """
 
-from repro.runtime.aio import (
-    ASYNC,
-    AsyncExecutionBackend,
-    AsyncRoundDriver,
-    AsyncSessionHost,
-    HostReport,
-    VirtualClock,
-    async_sbc_session,
-    async_voting_session,
-    online_ranges_disjoint,
-)
-
 from repro.runtime.backend import (
     BATCHED,
-    POOLED,
     SEQUENTIAL,
     ExecutionBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
-from repro.runtime.driver import (
-    BatchedRoundDriver,
-    RoundDriver,
-    SequentialRoundDriver,
-)
+from repro.runtime.driver import RoundDriver
 from repro.runtime.config import (
     SweepConfig,
     add_sweep_options,
@@ -68,7 +45,6 @@ from repro.runtime.config import (
 )
 from repro.runtime.material import (
     MATERIAL_SOURCES,
-    HostSlotAllocator,
     MaterialCursor,
     MaterialHandle,
     MaterialStore,
@@ -96,6 +72,7 @@ from repro.runtime.pool import (
     canonical_detail,
     compare_trace_digests,
     ensure_agreement,
+    online_ranges_disjoint,
     record_online_spend,
     reports_match,
     resolve_workers,
@@ -119,34 +96,25 @@ from repro.runtime.supervisor import (
 from repro.runtime.sweep import ParallelSweep, SweepPlan, SweepVerification
 
 __all__ = [
-    "ASYNC",
-    "AsyncExecutionBackend",
-    "AsyncRoundDriver",
-    "AsyncSessionHost",
     "BATCHED",
     "BatchScheduler",
-    "BatchedRoundDriver",
     "CHAOS_FOREVER",
     "ChaosFault",
     "ChaosInjected",
     "ChaosPlan",
     "DeadlinePolicy",
     "ExecutionBackend",
-    "HostReport",
-    "HostSlotAllocator",
     "MATERIAL_SOURCES",
     "MaterialCursor",
     "MaterialHandle",
     "MaterialStore",
     "OnlinePlan",
-    "POOLED",
     "ParallelSweep",
     "PoolReport",
     "Replenisher",
     "RetryPolicy",
     "RoundDriver",
     "SEQUENTIAL",
-    "SequentialRoundDriver",
     "SessionPool",
     "SpendLedger",
     "Supervisor",
@@ -158,10 +126,7 @@ __all__ = [
     "TraceDigestUnavailable",
     "TrialDisagreement",
     "TrialResult",
-    "VirtualClock",
     "add_sweep_options",
-    "async_sbc_session",
-    "async_voting_session",
     "attached_material",
     "auto_chunksize",
     "available_backends",
@@ -175,7 +140,6 @@ __all__ = [
     "online_ranges_disjoint",
     "publish_material",
     "record_online_spend",
-    "register_backend",
     "replenish_amount",
     "replenish_decision",
     "reports_match",

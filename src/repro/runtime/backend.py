@@ -1,27 +1,24 @@
-"""Pluggable execution backends.
+"""Execution backends.
 
-An :class:`ExecutionBackend` bundles the three runtime policies one knob
-apart from protocol logic:
+An :class:`ExecutionBackend` bundles the two runtime policies one knob
+apart from protocol logic; every backend runs rounds on the one
+:class:`~repro.runtime.driver.RoundDriver`:
 
-* which :class:`~repro.runtime.driver.RoundDriver` drives rounds;
 * how the session's :class:`~repro.runtime.scheduler.BatchScheduler`
   drains per-round message queues (``fifo`` vs ``grouped``);
 * how much of the event trace is kept (``full`` vs ``light``).
 
-Three backends ship:
+Two backends ship:
 
-========== ============ ========= ======= ==========================================
-name       driver       drain     trace   contract
-========== ============ ========= ======= ==========================================
-sequential sequential   fifo      full    byte-identical traces to the pre-runtime
-                                          engine for any fixed seed (the default)
-pooled     batched      fifo      full    traces identical to ``sequential``;
-                                          trace-neutral elisions only — safe for
-                                          determinism regressions and SessionPool
-batched    batched      grouped   light   maximum throughput; per-recipient batch
-                                          delivery, tracing off; protocol outputs
-                                          equal, trace interleaving differs
-========== ============ ========= ======= ==========================================
+========== ========= ======= ==========================================
+name       drain     trace   contract
+========== ========= ======= ==========================================
+sequential fifo      full    byte-identical traces to the pre-runtime
+                             engine for any fixed seed (the default)
+batched    grouped   light   maximum throughput; per-recipient batch
+                             delivery, tracing off; protocol outputs
+                             equal, trace interleaving differs
+========== ========= ======= ==========================================
 
 Stack builders and the CLI accept either a backend name or an
 :class:`ExecutionBackend` instance everywhere.
@@ -30,9 +27,7 @@ Stack builders and the CLI accept either a backend name or an
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Type, Union
-
-from repro.runtime.driver import BatchedRoundDriver, RoundDriver, SequentialRoundDriver
+from typing import Dict, Union
 
 #: Trace modes: ``full`` keeps the whole EventLog, ``light`` disables it.
 TRACE_MODES = ("full", "light")
@@ -44,21 +39,15 @@ class ExecutionBackend:
 
     Attributes:
         name: Registry key (also what ``--backend`` accepts on the CLI).
-        driver_cls: Round driver class instantiated per environment.
         scheduler_policy: Drain policy for per-round message queues.
         trace: Default trace mode for sessions created under this backend.
         description: One-line summary for ``--help`` and reports.
     """
 
     name: str
-    driver_cls: Type[RoundDriver]
     scheduler_policy: str = "fifo"
     trace: str = "full"
     description: str = ""
-
-    def make_driver(self, session, order: Optional[Sequence[str]] = None) -> RoundDriver:
-        """Instantiate this backend's round driver for ``session``."""
-        return self.driver_cls(session, order=order)
 
     def with_trace(self, trace: str) -> "ExecutionBackend":
         """A copy of this backend with a different trace mode."""
@@ -118,57 +107,25 @@ class ExecutionBackend:
 
 SEQUENTIAL = ExecutionBackend(
     name="sequential",
-    driver_cls=SequentialRoundDriver,
     scheduler_policy="fifo",
     trace="full",
     description="reference engine: per-message callbacks, full trace (default)",
 )
 
-POOLED = ExecutionBackend(
-    name="pooled",
-    driver_cls=BatchedRoundDriver,
-    scheduler_policy="fifo",
-    trace="full",
-    description="SessionPool driver: trace-identical to sequential, cached activation",
-)
-
 BATCHED = ExecutionBackend(
     name="batched",
-    driver_cls=BatchedRoundDriver,
     scheduler_policy="grouped",
     trace="light",
     description="throughput engine: grouped batch delivery, tracing off",
 )
 
-_REGISTRY: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Register ``backend`` under its name (last registration wins)."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-for _backend in (SEQUENTIAL, POOLED, BATCHED):
-    register_backend(_backend)
-
-
-def _ensure_builtin_backends() -> None:
-    """Finish registering the built-ins that live in their own modules.
-
-    The ``async`` backend's module pulls in the whole asyncio machinery
-    and imports this module in turn, so it registers itself on import
-    rather than being constructed here; importing it lazily at the
-    first registry *read* keeps ``import repro.runtime.backend`` light
-    while guaranteeing lookups and ``--backend`` choices always see the
-    full set.
-    """
-    import repro.runtime.aio  # noqa: F401  (import registers "async")
+_REGISTRY: Dict[str, ExecutionBackend] = {
+    backend.name: backend for backend in (SEQUENTIAL, BATCHED)
+}
 
 
 def available_backends() -> Dict[str, ExecutionBackend]:
     """Name -> backend for every registered backend."""
-    _ensure_builtin_backends()
     return dict(_REGISTRY)
 
 
@@ -182,8 +139,6 @@ def get_backend(backend: Union[str, ExecutionBackend, None]) -> ExecutionBackend
         return SEQUENTIAL
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend not in _REGISTRY:
-        _ensure_builtin_backends()
     try:
         return _REGISTRY[backend]
     except KeyError:

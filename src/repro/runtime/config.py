@@ -93,7 +93,7 @@ class SweepConfig:
             (``"light"`` turns the EventLog off for throughput runs).
     """
 
-    backend: Union[str, ExecutionBackend] = "pooled"
+    backend: Union[str, ExecutionBackend] = "sequential"
     executor: str = "inline"
     workers: Optional[int] = None
     chunksize: Optional[int] = None
@@ -120,6 +120,8 @@ class SweepConfig:
             raise ValueError(
                 f"executor must be inline/thread/process, got {self.executor!r}"
             )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.max_tasks_per_child is not None and self.max_tasks_per_child < 1:

@@ -1,19 +1,18 @@
-"""Round drivers: the execution loop behind :class:`~repro.uc.environment.Environment`.
+"""The round driver: the execution loop behind :class:`~repro.uc.environment.Environment`.
 
 A :class:`RoundDriver` owns the mechanics of one UC round — input delivery,
 activation order, ``Advance_Clock`` issuing — for a single session.  The
 environment (and through it every stack builder and benchmark) delegates
-here, so alternative execution strategies plug in without touching protocol
-code:
+here.  Synchrony comes from the global clock, so a round is a fixed
+sequence of activations with nothing to await.
 
-* :class:`SequentialRoundDriver` — the reference implementation.  A verbatim
-  port of the pre-runtime ``Environment.run_round`` loop; event traces are
-  byte-identical to the original engine for any fixed seed.
-* :class:`BatchedRoundDriver` — the throughput implementation.  Caches the
-  activation list between topology changes (registration/corruption bump
-  the session's ``topology_epoch``) and elides the per-party adversary
-  activation hook when the installed adversary does not override it.  Both
-  elisions are trace-neutral: they skip only work that records nothing.
+The loop is the pre-runtime ``Environment.run_round`` with two
+trace-neutral elisions: the default-order activation list is resolved
+once per topology epoch (registration and corruption bump the session's
+``topology_epoch``), and the per-party adversary hook is skipped when the
+installed adversary keeps the base no-op.  Neither elision records or
+suppresses an event, so traces are byte-identical to the original engine
+for any fixed seed.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _base_activation_hook():
 
 
 class RoundDriver:
-    """Base driver: holds the session and the default activation order.
+    """Drives one session round by round.
 
     Args:
         session: The session to drive.
@@ -52,12 +51,11 @@ class RoundDriver:
             defaults to registration order.
     """
 
-    #: Registry name filled in by subclasses (for reporting).
-    name = "abstract"
-
     def __init__(self, session: "Session", order: Optional[Sequence[str]] = None) -> None:
         self.session = session
         self._order = list(order) if order is not None else None
+        self._cached_epoch = -1
+        self._cached_parties: List["Party"] = []
 
     @property
     def order(self) -> Optional[List[str]]:
@@ -67,20 +65,25 @@ class RoundDriver:
     @order.setter
     def order(self, value: Optional[Sequence[str]]) -> None:
         self._order = list(value) if value is not None else None
-        self._order_changed()
+        self._cached_epoch = -1  # reassigning env.order must rebuild the cache
 
-    def _order_changed(self) -> None:
-        """Hook for subclasses caching anything derived from the order."""
+    def _parties(self, order: Optional[Sequence[str]]) -> Iterable["Party"]:
+        """The parties to activate this round, in activation order.
 
-    # -- activation order -------------------------------------------------
-
-    def activation_order(self, order: Optional[Sequence[str]] = None) -> List[str]:
-        """Resolve the activation order for one round."""
+        An explicit ``order`` is looked up party by party as the round
+        reaches it, exactly as the reference loop did; the default order
+        is cached until the session's topology changes.
+        """
+        session = self.session
         if order is not None:
-            return list(order)
-        if self.order is not None:
-            return list(self.order)
-        return list(self.session.parties)
+            return (session.party(pid) for pid in order)
+        if session.topology_epoch != self._cached_epoch:
+            if self._order is not None:
+                self._cached_parties = [session.party(pid) for pid in self._order]
+            else:
+                self._cached_parties = list(session.parties.values())
+            self._cached_epoch = session.topology_epoch
+        return self._cached_parties
 
     # -- the round loop ----------------------------------------------------
 
@@ -90,7 +93,26 @@ class RoundDriver:
         order: Optional[Sequence[str]] = None,
     ) -> int:
         """Run one full round and return the new clock time."""
-        raise NotImplementedError
+        session = self.session
+        for pid, action in actions:
+            party = session.party(pid)
+            if party.corrupted:
+                continue
+            action(party)
+        # Bound-method aware: catches both subclass overrides and
+        # instance-assigned hooks (adv.on_party_activated = fn).
+        hook = session.adversary.on_party_activated
+        hooked = getattr(hook, "__func__", hook) is not _base_activation_hook()
+        for party in self._parties(order):
+            if party.corrupted:
+                continue
+            if hooked:
+                hook(party)
+                if party.corrupted:
+                    # on_party_activated may have corrupted it.
+                    continue
+            party.advance_clock()
+        return session.clock.time
 
     def run_rounds(self, count: int, order: Optional[Sequence[str]] = None) -> int:
         """Run ``count`` empty rounds (clock ticks only)."""
@@ -118,108 +140,3 @@ class RoundDriver:
         if predicate(self.session):
             return self.session.clock.time
         raise RuntimeError(f"predicate not satisfied within {max_rounds} rounds")
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release driver-held resources.
-
-        The synchronous drivers hold none, so this is a no-op; the
-        asyncio driver overrides it to cancel pending step tasks and
-        close its private event loop.  Safe to call more than once.
-        """
-
-
-class SequentialRoundDriver(RoundDriver):
-    """Reference driver: one party, one message, one callback at a time.
-
-    This is the pre-runtime engine verbatim; the default backend uses it
-    so that traces stay byte-identical seed-for-seed.
-    """
-
-    name = "sequential"
-
-    def run_round(
-        self,
-        actions: Iterable[Action] = (),
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        session = self.session
-        for pid, action in actions:
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            action(party)
-        for pid in self.activation_order(order):
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            session.adversary.on_party_activated(party)
-            if party.corrupted:
-                # on_party_activated may have corrupted it.
-                continue
-            party.advance_clock()
-        return session.clock.time
-
-
-class BatchedRoundDriver(RoundDriver):
-    """Throughput driver: batched activation with trace-neutral elisions.
-
-    Differences from the sequential reference — none of which emit or
-    suppress a trace event:
-
-    * the activation party list is resolved once per topology epoch
-      instead of per round (no per-round ``party()`` lookups);
-    * ``Adversary.on_party_activated`` is skipped entirely when the
-      installed adversary inherits the base no-op implementation.
-    """
-
-    name = "batched"
-
-    def __init__(self, session: "Session", order: Optional[Sequence[str]] = None) -> None:
-        super().__init__(session, order)
-        self._cached_epoch = -1
-        self._cached_parties: List["Party"] = []
-
-    def _order_changed(self) -> None:
-        self._cached_epoch = -1  # reassigning env.order must rebuild the cache
-
-    def _parties(self) -> List["Party"]:
-        session = self.session
-        if session.topology_epoch != self._cached_epoch:
-            if self._order is not None:
-                self._cached_parties = [session.party(pid) for pid in self._order]
-            else:
-                self._cached_parties = list(session.parties.values())
-            self._cached_epoch = session.topology_epoch
-        return self._cached_parties
-
-    def run_round(
-        self,
-        actions: Iterable[Action] = (),
-        order: Optional[Sequence[str]] = None,
-    ) -> int:
-        session = self.session
-        for pid, action in actions:
-            party = session.party(pid)
-            if party.corrupted:
-                continue
-            action(party)
-        adversary = session.adversary
-        # Bound-method aware: catches both subclass overrides and
-        # instance-assigned hooks (adv.on_party_activated = fn).
-        hook = adversary.on_party_activated
-        hooked = getattr(hook, "__func__", hook) is not _base_activation_hook()
-        if order is not None:
-            parties: Sequence["Party"] = [session.party(pid) for pid in order]
-        else:
-            parties = self._parties()
-        for party in parties:
-            if party.corrupted:
-                continue
-            if hooked:
-                hook(party)
-                if party.corrupted:
-                    continue
-            party.advance_clock()
-        return session.clock.time

@@ -50,7 +50,7 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX hosts merge unlocked
     fcntl = None  # type: ignore[assignment]
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup, warm_groups
@@ -77,7 +77,6 @@ __all__ = [
     "REPLENISH_HEADROOM",
     "REPLENISH_HYSTERESIS",
     "REPLENISH_REBUILD_DEAD_FRACTION",
-    "HostSlotAllocator",
     "MaterialCursor",
     "MaterialHandle",
     "MaterialRef",
@@ -1289,89 +1288,6 @@ class OnlinePlan:
         return online_pool_requirement(
             top, self.nonces_per_task, self.feldman_per_task
         )
-
-
-class HostSlotAllocator:
-    """Lease per-session pool slots from one plan, for long-lived hosts.
-
-    A sweep knows its whole task list up front, so
-    :meth:`OnlinePlan.for_tasks` assigns slots positionally and is done.
-    A *service host* (:class:`~repro.runtime.aio.AsyncSessionHost`)
-    admits sessions over time, possibly beyond what was planned; this
-    allocator sits between the two models:
-
-    * a key the plan already covers gets its planned slot;
-    * a previously-unseen key gets the next monotonically increasing
-      slot past the plan's top — slots are **never reused or released**,
-      because a reused slot is a double-spend by construction;
-    * the same key leases the same slot again (replay semantics,
-      matching :meth:`OnlinePlan.slot_of`);
-    * a slot whose slice extends past the built pools degrades that
-      session to counted sampling (the cursor's standing never-crash
-      contract) — the allocator warns once when leases first spill past
-      capacity, and never hands out an overlapping slice.
-
-    Each lease is a single-assignment *view* of the plan (same
-    fingerprint, offsets, per-task sizes and pool caps), so the
-    session's ordinary ``online.open(key)`` call works unchanged.
-    Thread-safe: hosts lease from the event-loop thread, but nothing
-    stops an executor-offloaded caller from leasing too.
-    """
-
-    def __init__(self, plan: OnlinePlan) -> None:
-        self.plan = plan
-        self._slots: Dict[Any, int] = {}
-        self._lock = threading.Lock()
-        self._next_slot = 1 + max(
-            (slot for _task, slot in plan.assignments), default=-1
-        )
-        self._warned_capacity = False
-
-    @property
-    def capacity(self) -> int:
-        """Slots whose slices fit entirely inside the built pools."""
-        per_nonce = (
-            (self.plan.pool_nonces - self.plan.nonce_offset)
-            // self.plan.nonces_per_task
-            if self.plan.nonces_per_task
-            else 0
-        )
-        per_feldman = (
-            (self.plan.pool_feldman - self.plan.feldman_offset)
-            // self.plan.feldman_per_task
-            if self.plan.feldman_per_task
-            else 0
-        )
-        return max(0, min(per_nonce, per_feldman))
-
-    @property
-    def leased(self) -> int:
-        """Distinct keys leased so far."""
-        return len(self._slots)
-
-    def lease(self, key: Any) -> OnlinePlan:
-        """A single-assignment plan view giving ``key`` its own slot."""
-        with self._lock:
-            slot = self._slots.get(key)
-            if slot is None:
-                try:
-                    slot = self.plan.slot_of(key)
-                except KeyError:
-                    slot = self._next_slot
-                    self._next_slot += 1
-                self._slots[key] = slot
-                if not self._warned_capacity and slot >= self.capacity:
-                    warnings.warn(
-                        f"host session slot {slot} exceeds the planned pool "
-                        f"capacity ({self.capacity} slots for "
-                        f"{self.plan.fingerprint}); sessions past capacity "
-                        "fall back to counted sampling — pool slices are "
-                        "never reused",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    self._warned_capacity = True
-        return replace(self.plan, assignments=((key, slot),))
 
 
 # ---------------------------------------------------------------------------

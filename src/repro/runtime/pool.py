@@ -201,7 +201,7 @@ def run_sbc_trial(
     phi: int = 4,
     delta: Optional[int] = None,
     senders: int = 1,
-    backend: Union[str, ExecutionBackend] = "pooled",
+    backend: Union[str, ExecutionBackend] = "sequential",
     trace: Optional[str] = None,
     online: Optional[Any] = None,
     batch: Optional[Any] = None,
@@ -257,7 +257,7 @@ def run_voting_trial(
     candidates: Tuple[str, ...] = ("yes", "no"),
     mode: str = "hybrid",
     delta: Optional[int] = None,
-    backend: Union[str, ExecutionBackend] = "pooled",
+    backend: Union[str, ExecutionBackend] = "sequential",
     trace: Optional[str] = None,
     online: Optional[Any] = None,
     batch: Optional[Any] = None,
@@ -313,6 +313,39 @@ def run_voting_trial(
         outputs=repr(agreed),
         online=online_record,
     )
+
+
+def online_ranges_disjoint(results: Sequence[Any]) -> Tuple[bool, int]:
+    """Check that no two trial spend records overlap pool ranges.
+
+    Returns ``(disjoint, spends_checked)`` over every result carrying an
+    ``online`` spend summary that actually *spent* (sampled-only records
+    reserve nothing).  This is the zero-double-spend evidence ``repro
+    serve --online`` reports and exits 1 on.
+    """
+    pools = (("nonce_range", "nonces_spent"), ("feldman_range", "feldman_spent"))
+    spans_by_pool: Dict[str, List[Tuple[int, int]]] = {pool: [] for pool, _ in pools}
+    for result in results:
+        record = getattr(result, "online", None)
+        if not record:
+            continue
+        for pool, spent_key in pools:
+            lo_hi = record.get(pool)
+            spent = int(record.get(spent_key, 0))
+            if lo_hi and spent:
+                spans_by_pool[pool].append((int(lo_hi[0]), int(lo_hi[0]) + spent))
+    checked = 0
+    disjoint = True
+    # The two pools are separate index spaces: a session's nonce slice
+    # legitimately shares indices with its own feldman slice, so overlap
+    # is only ever checked within one pool.
+    for spans in spans_by_pool.values():
+        spans.sort()
+        checked += len(spans)
+        for (_, prev_hi), (lo, _) in zip(spans, spans[1:]):
+            if lo < prev_hi:
+                disjoint = False
+    return disjoint, checked
 
 
 @dataclass
@@ -545,7 +578,7 @@ class SessionPool:
             config,
             legacy,
             runner_kwargs,
-            defaults={"backend": "pooled", "executor": "inline"},
+            defaults={"executor": "inline"},
             owner="SessionPool",
         )
         self.config = config

@@ -35,14 +35,6 @@ class BatchScheduler:
             (per-key grouping, per-key FIFO preserved).
     """
 
-    #: Optional enqueue observer installed by event-driven backends:
-    #: called as ``listener(channel, key, item)`` on every enqueue, so
-    #: the asyncio driver can mirror deliveries into per-party queues
-    #: (awaited wake-ups) instead of polling :meth:`pending`.  Must not
-    #: mutate the queue and must stay deterministic — it runs inside
-    #: the digest-pinned round loop.
-    listener = None
-
     def __init__(self, policy: str = "fifo") -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {list(POLICIES)}, got {policy!r}")
@@ -53,8 +45,6 @@ class BatchScheduler:
         """Queue ``item`` under ``channel``; ``key`` is the grouping key
         (typically the recipient pid) used by the ``grouped`` policy."""
         self._queues.setdefault(channel, []).append((key, item))
-        if self.listener is not None:
-            self.listener(channel, key, item)
 
     def pending(self, channel: str) -> int:
         """Number of items currently queued under ``channel``."""

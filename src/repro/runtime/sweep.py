@@ -140,7 +140,7 @@ class ParallelSweep:
             config,
             legacy,
             runner_kwargs,
-            defaults={"backend": "pooled", "executor": "process"},
+            defaults={"executor": "process"},
             owner="ParallelSweep",
         )
         self._pool = SessionPool(runner=runner, config=config, **runner_kwargs)

@@ -13,10 +13,8 @@ mid-round corruption is exercised simply by running an adversary whose
 ``on_leak`` corrupts.
 
 The round loop itself lives in :mod:`repro.runtime.driver`; the
-environment delegates to the :class:`~repro.runtime.driver.RoundDriver`
-selected by the session's execution backend, so alternative execution
-strategies (batched activation, pooled sweeps) plug in without changing
-any environment script.
+environment delegates to one :class:`~repro.runtime.driver.RoundDriver`
+per session.
 """
 
 from __future__ import annotations
@@ -36,22 +34,11 @@ class Environment:
         session: The session to drive.
         order: Default activation order for ``Advance_Clock`` (party ids);
             defaults to registration order.
-        driver: Explicit round driver; defaults to the one selected by
-            ``session.backend``.
     """
 
-    def __init__(
-        self,
-        session: Session,
-        order: Optional[Sequence[str]] = None,
-        driver: Optional[RoundDriver] = None,
-    ) -> None:
+    def __init__(self, session: Session, order: Optional[Sequence[str]] = None) -> None:
         self.session = session
-        self.driver = driver if driver is not None else session.backend.make_driver(
-            session, order=order
-        )
-        if driver is not None and order is not None:
-            self.driver.order = list(order)
+        self.driver = RoundDriver(session, order=order)
 
     @property
     def order(self) -> Optional[Sequence[str]]:

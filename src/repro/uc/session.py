@@ -7,9 +7,8 @@ the deterministic randomness source, the metrics and the event trace.
 The session is also where the execution *runtime* plugs in: the
 :class:`~repro.runtime.backend.ExecutionBackend` chosen at construction
 fixes the trace mode and the drain policy of the per-round message
-scheduler, and tells :class:`~repro.uc.environment.Environment` which
-round driver to instantiate.  The default (``sequential``) backend
-reproduces the pre-runtime engine byte-for-byte.
+scheduler.  The default (``sequential``) backend reproduces the
+pre-runtime engine byte-for-byte.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class Session:
         self.functionalities: Dict[str, "Functionality"] = {}
         self.corrupted: Set[str] = set()
         #: Bumped whenever the party topology changes (registration or
-        #: corruption); drivers and caches key their snapshots on it.
+        #: corruption); the round driver and caches key their snapshots on it.
         self.topology_epoch = 0
         self._honest_cache: Optional[Dict[str, "Party"]] = None
         self._honest_pids: Optional[FrozenSet[str]] = None

@@ -32,7 +32,7 @@ def _write_record(root, experiment, wall_time_s, cpus=4, schema="bench.v1"):
                 "experiment": experiment,
                 "wall_time_s": wall_time_s,
                 "cpus": cpus,
-                "backend": "pooled",
+                "backend": "sequential",
             }
         )
     )

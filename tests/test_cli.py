@@ -101,3 +101,68 @@ def test_serve_composed_mode(workload, capsys):
 def test_invalid_delta_exits_2_with_message(capsys):
     assert main(["bench", "--sessions", "2", "--mode", "composed", "--delta", "2"]) == 2
     assert "Theorem 2 requires delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sessions", "2", "--workers", "0", "--executor", "process"],
+        ["bench", "--sessions", "2", "--workers", "0", "--executor", "thread"],
+        ["serve", "--sessions", "2", "--workers", "0"],
+        ["scenarios", "run", "--cell", "ubc/passive/none", "--workers", "0"],
+    ],
+    ids=["sweep", "bench", "serve", "scenarios"],
+)
+def test_workers_below_one_exits_2_with_message(argv, capsys):
+    assert main(argv) == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sbc", "--n", "0"],
+        ["election", "--voters", "0"],
+        ["sweep", "--sessions", "2", "--workload", "voting", "--n", "0"],
+    ],
+    ids=["sbc", "election", "sweep"],
+)
+def test_empty_world_exits_2_with_message(argv, capsys):
+    assert main(argv) == 2
+    assert "must be >= 1 (a stack needs a party), got 0" in capsys.readouterr().err
+
+
+def test_serve_online_waves_spend_disjoint_slices(tmp_path, monkeypatch, capsys):
+    """65 sessions under --duration run as two waves over one plan; a
+    second wave that re-planned from slot 0 would overlap the first."""
+    import json
+
+    from repro.crypto.groups import TEST_GROUP
+    from repro.runtime import MaterialStore, material, online_pool_requirement
+
+    monkeypatch.setenv("REPRO_MATERIAL_DIR", str(tmp_path))
+    # Keep this store's pools out of the process-wide attach registry.
+    monkeypatch.setattr(material, "_ATTACHED", {})
+    MaterialStore(tmp_path).build([TEST_GROUP], **online_pool_requirement(65))
+    assert main([
+        "serve", "--sessions", "65", "--n", "2", "--material", "disk",
+        "--online", "--duration", "600", "--json",
+    ]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["sessions"] == 65
+    assert record["spends_checked"] == 65
+    assert record["spends_disjoint"] is True
+
+
+def test_serve_zero_duration_admits_nothing(capsys):
+    assert main(["serve", "--sessions", "2", "--duration", "0"]) == 2
+    assert "admitted no sessions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", ["sbc", "voting"])
+def test_serve_process_executor(workload, capsys):
+    assert main([
+        "serve", "--sessions", "4", "--n", "3", "--workload", workload,
+        "--executor", "process", "--workers", "2",
+    ]) == 0
+    assert "sessions/sec" in capsys.readouterr().out

@@ -2,11 +2,11 @@
 
 Each stack builder in :mod:`repro.core.stacks` runs one canonical script
 under every registered backend.  The ``sequential`` run is the golden
-reference: ``pooled`` and the event-driven ``async`` engine must match
-it digest-for-digest (via the guarded
+reference, and ``batched`` (trace-off) must reproduce its protocol
+outputs exactly.  The orthogonal seams (arithmetic tier, batch
+verification) must match it digest-for-digest via the guarded
 :func:`~repro.runtime.pool.compare_trace_digests`, so a vacuous
-empty-vs-empty comparison can never slip through), and ``batched``
-(trace-off) must reproduce its protocol outputs exactly.
+empty-vs-empty comparison can never slip through.
 """
 
 import pytest
@@ -102,28 +102,6 @@ def golden():
 
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
-def test_pooled_matches_sequential_golden(name, golden):
-    reference_digest, reference_outputs = golden[name]
-    session, outputs = DRIVERS[name]("pooled")
-    assert compare_trace_digests(trace_digest(session.log), reference_digest)
-    assert outputs == reference_outputs
-
-
-@pytest.mark.parametrize("name", sorted(DRIVERS))
-def test_async_matches_sequential_golden(name, golden):
-    """The asyncio engine's core contract: byte-identical event traces.
-
-    The async driver executes rounds as awaited virtual-clock steps, but
-    the conductor sequences them strictly — so every builder's canonical
-    script must digest-equal the sequential reference, seed for seed.
-    """
-    reference_digest, reference_outputs = golden[name]
-    session, outputs = DRIVERS[name]("async")
-    assert compare_trace_digests(trace_digest(session.log), reference_digest)
-    assert outputs == reference_outputs
-
-
-@pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_batched_matches_sequential_outputs(name, golden):
     reference_digest, reference_outputs = golden[name]
     session, outputs = DRIVERS[name]("batched")
@@ -139,7 +117,7 @@ def test_batched_matches_sequential_outputs(name, golden):
 
 def test_every_registered_backend_is_covered():
     """New backends must be added to this differential suite knowingly."""
-    assert BACKENDS == ["async", "batched", "pooled", "sequential"], (
+    assert BACKENDS == ["batched", "sequential"], (
         "a backend was registered without extending the differential tests"
     )
 

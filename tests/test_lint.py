@@ -777,11 +777,8 @@ def test_shipped_tree_is_clean():
     # PR 9 added three: the thread executor's map and the post-terminate
     # pool.join() (both provably bounded, RPR007), and the journal's
     # best-effort temp-file cleanup (RPR005).
-    # PR 10 added four RPR005 waivers in runtime/aio.py: two
-    # get_running_loop() probes where *no* loop is the happy path, the
-    # closed-loop guard in VirtualClock.discard_pending, and the __del__
-    # GC safety net — none is a degradation path worth a warning.
-    assert len(report.suppressions) <= 21
+    # The four RPR005 waivers of the deleted asyncio backend are gone.
+    assert len(report.suppressions) <= 17
 
 
 def test_default_root_is_the_repro_package():

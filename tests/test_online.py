@@ -17,6 +17,7 @@ The offline/online contract, end to end:
 
 import random
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.runtime import (
     ParallelSweep,
     SessionPool,
     online_pool_requirement,
+    online_ranges_disjoint,
     run_voting_trial,
 )
 from repro.runtime.material import DEFAULT_NONCES_PER_TASK
@@ -374,6 +376,45 @@ def test_matrix_online_run_keeps_cross_backend_digests(store):
     report = run_matrix(specs, executor="inline", material="disk", online=True)
     assert report.ok
     assert report.backend_mismatches() == []
+
+
+# ---------------------------------------------------------------------------
+# Disjointness audit over spend records
+# ---------------------------------------------------------------------------
+
+
+def _spent(online):
+    return SimpleNamespace(online=online)
+
+
+def test_online_ranges_disjoint_checks_each_pool_separately():
+    results = [
+        _spent({"nonce_range": (0, 8), "nonces_spent": 8,
+                "feldman_range": (0, 4), "feldman_spent": 4}),
+        _spent({"nonce_range": (8, 16), "nonces_spent": 6,
+                "feldman_range": (4, 8), "feldman_spent": 2}),
+        _spent(None),  # offline session: no record, skipped
+        _spent({"nonce_range": (16, 24), "nonces_spent": 0}),  # sampled only
+    ]
+    # Session 0's nonce slice and feldman slice share indices — different
+    # pools, not a double-spend.  2 nonce spans + 2 feldman spans checked.
+    assert online_ranges_disjoint(results) == (True, 4)
+
+
+def test_online_ranges_disjoint_flags_overlap_in_either_pool():
+    nonce_clash = [
+        _spent({"nonce_range": (0, 8), "nonces_spent": 8}),
+        _spent({"nonce_range": (4, 12), "nonces_spent": 8}),
+    ]
+    disjoint, checked = online_ranges_disjoint(nonce_clash)
+    assert not disjoint and checked == 2
+
+    feldman_clash = [
+        _spent({"feldman_range": (0, 4), "feldman_spent": 4}),
+        _spent({"feldman_range": (3, 7), "feldman_spent": 4}),
+    ]
+    disjoint, checked = online_ranges_disjoint(feldman_clash)
+    assert not disjoint and checked == 2
 
 
 # ---------------------------------------------------------------------------

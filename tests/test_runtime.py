@@ -5,8 +5,9 @@ Covers the runtime's three contracts:
 * the default (``sequential``) backend reproduces the pre-runtime engine
   **byte for byte** — pinned against golden trace digests captured from
   the seed engine before the runtime extraction;
-* the ``pooled`` backend produces *identical* event traces to the
-  sequential backend for any fixed seed (its elisions are trace-neutral);
+* the round driver's elisions (the activation list cached per topology
+  epoch, the adversary hook skipped while it is the base no-op) are
+  trace-neutral: every order and hook path reproduces the goldens;
 * :class:`~repro.runtime.pool.SessionPool` sweeps are deterministic and
   complete across >= 32 seeds.
 
@@ -14,7 +15,10 @@ Plus unit coverage for the scheduler policies, the backend registry, the
 session topology caches and the accelerated group arithmetic.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.runtime import (
     sequential_loop,
     trace_digest,
 )
+from repro.uc.adversary import PassiveAdversary
 from repro.uc.entity import Party
 from repro.uc.session import Session
 
@@ -87,30 +92,66 @@ def test_default_backend_golden_hybrid_and_voting():
 
 
 # ---------------------------------------------------------------------------
-# Determinism regression: sequential vs pooled backends
+# Determinism regression: the round driver's order and hook paths
 # ---------------------------------------------------------------------------
 
-
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_sequential_and_pooled_traces_identical(seed):
-    sequential = _run_sbc(seed, backend="sequential")
-    pooled = _run_sbc(seed, backend="pooled")
-    assert trace_digest(sequential.session.log) == trace_digest(pooled.session.log)
-    assert sequential.delivered() == pooled.delivered()
+PIDS = ["P0", "P1", "P2", "P3"]
 
 
-def test_sequential_and_pooled_traces_identical_voting():
-    digests = []
-    for backend in ("sequential", "pooled"):
-        stack = build_voting_stack(voters=3, mode="hybrid", seed=9, backend=backend)
-        for authority in stack.authorities.values():
-            authority.deal()
-        stack.run_rounds(1)
-        for index, candidate in enumerate(("no", "no", "yes")):
-            stack.parties[f"V{index}"].vote(candidate)
-        stack.run_until_result()
-        digests.append(trace_digest(stack.session.log))
-    assert digests[0] == digests[1]
+def _run_sbc_explicit_order(seed: int, order):
+    """``_run_sbc`` with ``order`` passed to every round (the uncached path)."""
+    stack = build_sbc_stack(n=4, mode="composed", seed=seed)
+    stack.parties["P0"].broadcast(b"m0")
+    stack.parties["P1"].broadcast(b"m1")
+    stack.env.run_until(
+        lambda session: all(party.outputs for party in stack.parties.values()),
+        order=order,
+    )
+    return stack
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SBC_COMPOSED))
+def test_default_and_explicit_order_reproduce_golden(seed):
+    cached = _run_sbc(seed, backend="sequential")
+    pinned = build_sbc_stack(n=4, mode="composed", seed=seed)
+    pinned.env.order = list(PIDS)  # a default order list, cached per epoch
+    pinned.parties["P0"].broadcast(b"m0")
+    pinned.parties["P1"].broadcast(b"m1")
+    pinned.run_until_delivery()
+    explicit = _run_sbc_explicit_order(seed, PIDS)
+    for stack in (cached, pinned, explicit):
+        assert trace_digest(stack.session.log) == GOLDEN_SBC_COMPOSED[seed]
+        assert stack.delivered() == cached.delivered()
+
+
+class _CountingAdversary(PassiveAdversary):
+    """Overrides the activation hook (so the driver calls it) but only counts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.activations = []
+
+    def on_party_activated(self, party) -> None:
+        self.activations.append((self.session.clock.time, party.pid))
+
+
+def test_hooked_adversary_reproduces_golden_voting():
+    adversary = _CountingAdversary()
+    stack = build_voting_stack(voters=3, mode="hybrid", seed=3, adversary=adversary)
+    for authority in stack.authorities.values():
+        authority.deal()
+    stack.run_rounds(1)
+    for index, candidate in enumerate(("yes", "no", "yes")):
+        stack.parties[f"V{index}"].vote(candidate)
+    stack.run_until_result()
+    assert trace_digest(stack.session.log) == GOLDEN_VOTING_HYBRID_SEED3
+    parties = len(stack.session.parties)
+    rounds = stack.session.clock.time
+    assert (parties, rounds) == (5, 8)  # 3 voters + 2 authorities
+    # The overridden hook fired once per party per round, in order.
+    assert adversary.activations == [
+        (time, pid) for time in range(rounds) for pid in stack.session.parties
+    ]
 
 
 def test_batched_backend_same_outputs_lighter_trace():
@@ -123,31 +164,45 @@ def test_batched_backend_same_outputs_lighter_trace():
     assert again.delivered() == batched.delivered()
 
 
-def test_order_reassignment_invalidates_pooled_cache():
+def test_order_reassignment_invalidates_activation_cache():
     digests = []
-    for backend in ("sequential", "pooled"):
+    for explicit in (False, True):
+        adversary = _CountingAdversary()
         stack = build_sbc_stack(
-            n=4, mode="hybrid", seed=6, phi=4, delta=2, backend=backend
+            n=4, mode="hybrid", seed=6, phi=4, delta=2, adversary=adversary
         )
-        stack.run_rounds(1)  # populate any driver-side caches
-        stack.env.order = ["P3", "P2", "P1", "P0"]  # then flip the order
+        stack.run_rounds(1)  # populate the cached activation list
+        flipped = ["P3", "P2", "P1", "P0"]
         stack.parties["P0"].broadcast(b"o")
-        stack.run_until_delivery()
+        if explicit:
+            # The reference: the flipped order passed to every round.
+            stack.env.run_until(
+                lambda session: all(p.outputs for p in stack.parties.values()),
+                order=flipped,
+            )
+        else:
+            stack.env.order = flipped  # must rebuild the cached list
+            stack.run_until_delivery()
         digests.append(trace_digest(stack.session.log))
+        rounds = stack.session.clock.time
+        assert rounds == 8
+        assert adversary.activations == [(0, pid) for pid in PIDS] + [
+            (time, pid) for time in range(1, rounds) for pid in flipped
+        ]
     assert digests[0] == digests[1]
 
 
 def test_session_pool_honors_backend_instance_overrides():
-    from repro.runtime import POOLED
+    from repro.runtime import SEQUENTIAL
 
     report = SessionPool(
-        backend=POOLED.with_trace("light"), n=3, mode="hybrid"
+        backend=SEQUENTIAL.with_trace("light"), n=3, mode="hybrid"
     ).run([0])
     assert report.results[0].digest == ""  # the trace override reached the session
 
 
 def test_repeated_sbc_accepts_backend():
-    runner = RepeatedSBC(n=3, seed=4, phi=4, delta=2, backend="pooled")
+    runner = RepeatedSBC(n=3, seed=4, phi=4, delta=2, backend="sequential")
     delivered = runner.run_period({"P0": b"warm"})
     assert all(batch == [b"warm"] for batch in delivered.values())
 
@@ -159,7 +214,7 @@ def test_repeated_sbc_accepts_backend():
 
 def test_session_pool_smoke_32_seeds():
     seeds = list(range(32))
-    pool = SessionPool(backend="pooled", n=3, mode="hybrid", phi=4, delta=2)
+    pool = SessionPool(backend="sequential", n=3, mode="hybrid", phi=4, delta=2)
     report = pool.run(seeds)
     assert report.sessions == 32
     assert [result.seed for result in report.results] == seeds
@@ -177,17 +232,17 @@ def test_session_pool_matches_sequential_loop_digests():
     seeds = list(range(6))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
     baseline = sequential_loop(seeds, **params)
-    pooled = SessionPool(backend="pooled", **params).run(seeds)
+    pooled = SessionPool(backend="sequential", **params).run(seeds)
     assert [r.digest for r in pooled.results] == [r.digest for r in baseline.results]
 
 
 def test_session_pool_thread_executor():
     seeds = list(range(4))
     pool = SessionPool(
-        backend="pooled", executor="thread", workers=2, n=3, mode="hybrid"
+        backend="sequential", executor="thread", workers=2, n=3, mode="hybrid"
     )
     report = pool.run(seeds)
-    inline = SessionPool(backend="pooled", n=3, mode="hybrid").run(seeds)
+    inline = SessionPool(backend="sequential", n=3, mode="hybrid").run(seeds)
     assert [r.digest for r in report.results] == [r.digest for r in inline.results]
 
 
@@ -203,26 +258,51 @@ def test_light_trace_digest_is_empty_not_constant():
     # hash of zero events — distinct executions would compare equal.
     result = run_sbc_trial(0, n=3, mode="hybrid", backend="batched")
     assert result.digest == ""
-    light = run_sbc_trial(1, n=3, mode="hybrid", backend="pooled", trace="light")
+    light = run_sbc_trial(1, n=3, mode="hybrid", backend="sequential", trace="light")
     assert light.digest == ""
 
 
-def test_pooled_driver_fires_instance_assigned_hook():
-    from repro.uc.adversary import PassiveAdversary
-
-    counts = {}
-    for backend in ("sequential", "pooled"):
+def test_round_driver_fires_instance_assigned_hook():
+    digests = []
+    for hooked in (False, True):
         adversary = PassiveAdversary()
         seen = []
-        adversary.on_party_activated = seen.append  # instance-level hook
+        if hooked:
+            adversary.on_party_activated = seen.append  # instance-level hook
         stack = build_sbc_stack(
-            n=3, mode="hybrid", seed=2, phi=4, delta=2,
-            adversary=adversary, backend=backend,
+            n=3, mode="hybrid", seed=2, phi=4, delta=2, adversary=adversary,
         )
         stack.parties["P0"].broadcast(b"x")
         stack.run_until_delivery()
-        counts[backend] = len(seen)
-    assert counts["pooled"] == counts["sequential"] > 0
+        digests.append(trace_digest(stack.session.log))
+    assert stack.session.clock.time == 7
+    assert [party.pid for party in seen] == ["P0", "P1", "P2"] * 7
+    assert digests[0] == digests[1]  # the hook records nothing
+
+
+def test_hook_corrupting_its_party_skips_advance_clock():
+    class CorruptOnActivation(PassiveAdversary):
+        def on_party_activated(self, party) -> None:
+            if party.pid == "P1" and self.session.clock.time == 2:
+                self.corrupt("P1")
+
+    stack = build_sbc_stack(
+        n=3, mode="hybrid", seed=2, phi=4, delta=2, adversary=CorruptOnActivation(),
+    )
+    ticks = {pid: 0 for pid in stack.parties}
+    for pid, party in stack.parties.items():
+        def counted(original=party.advance_clock, pid=pid):
+            ticks[pid] += 1
+            return original()
+
+        party.advance_clock = counted
+    stack.parties["P0"].broadcast(b"x")
+    stack.run_until_delivery()
+    rounds = stack.session.clock.time
+    assert stack.session.is_corrupted("P1")
+    # P1 advanced in rounds 0 and 1 only: corrupted by the hook in round
+    # 2, it must not advance then or ever after.
+    assert ticks == {"P0": rounds, "P1": 2, "P2": rounds}
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +312,22 @@ def test_pooled_driver_fires_instance_assigned_hook():
 
 def test_backend_registry():
     backends = available_backends()
-    assert {"sequential", "pooled", "batched"} <= set(backends)
+    assert sorted(backends) == ["batched", "sequential"]
     assert get_backend(None).name == "sequential"
-    assert get_backend("pooled").driver_cls.name == "batched"
     assert get_backend(backends["batched"]) is backends["batched"]
     with pytest.raises(ValueError):
         get_backend("warp-drive")
+
+
+def test_runtime_import_leaves_asyncio_unloaded():
+    """Rounds are clock-driven with nothing to await: no asyncio on import."""
+    probe = "import sys, repro.runtime; print('asyncio' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_scheduler_fifo_preserves_global_order():
@@ -446,7 +536,7 @@ def test_trace_digest_stable_across_dict_insertion_orders():
 def test_empty_pool_report_summary_raises():
     from repro.runtime import PoolReport
 
-    empty = PoolReport(backend="pooled", executor="inline", wall_time_s=0.0)
+    empty = PoolReport(backend="sequential", executor="inline", wall_time_s=0.0)
     with pytest.raises(ValueError, match="no trials"):
         empty.summary()
 
@@ -454,8 +544,8 @@ def test_empty_pool_report_summary_raises():
 def test_reports_match_rejects_empty_reports():
     from repro.runtime import PoolReport, reports_match
 
-    empty = PoolReport(backend="pooled", executor="inline", wall_time_s=0.0)
-    full = SessionPool(backend="pooled", n=3, mode="hybrid").run([0])
+    empty = PoolReport(backend="sequential", executor="inline", wall_time_s=0.0)
+    full = SessionPool(backend="sequential", n=3, mode="hybrid").run([0])
     with pytest.raises(ValueError, match="empty"):
         reports_match(empty, empty)
     with pytest.raises(ValueError, match="empty"):
@@ -550,9 +640,9 @@ def test_session_pool_rejects_bad_fanout_config():
 def test_session_pool_process_executor_digests_match_inline():
     seeds = list(range(4))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
-    inline = SessionPool(backend="pooled", **params).run(seeds)
+    inline = SessionPool(backend="sequential", **params).run(seeds)
     fanned = SessionPool(
-        backend="pooled", executor="process", workers=2, chunksize=2, **params
+        backend="sequential", executor="process", workers=2, chunksize=2, **params
     ).run(seeds)
     assert [r.seed for r in fanned.results] == seeds  # deterministic order
     assert [r.digest for r in fanned.results] == [r.digest for r in inline.results]
@@ -566,8 +656,8 @@ def test_session_pool_process_worker_recycling():
     seeds = list(range(5))
     params = dict(n=3, mode="hybrid", phi=4, delta=2)
     recycled = SessionPool(
-        backend="pooled", executor="process", workers=2,
+        backend="sequential", executor="process", workers=2,
         chunksize=1, max_tasks_per_child=2, **params,
     ).run(seeds)
-    inline = SessionPool(backend="pooled", **params).run(seeds)
+    inline = SessionPool(backend="sequential", **params).run(seeds)
     assert [r.digest for r in recycled.results] == [r.digest for r in inline.results]

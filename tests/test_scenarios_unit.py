@@ -187,10 +187,10 @@ def test_reports_match_errors_on_trace_off_pools():
     light = SessionPool(backend="batched", **params).run([0, 1])
     with pytest.raises(TraceDigestUnavailable):
         reports_match(light, light)
-    full = SessionPool(backend="pooled", **params).run([0, 1])
+    full = SessionPool(backend="sequential", **params).run([0, 1])
     assert reports_match(full, full)
     with pytest.raises(ValueError):
-        reports_match(full, SessionPool(backend="pooled", **params).run([0]))
+        reports_match(full, SessionPool(backend="sequential", **params).run([0]))
 
 
 # ---------------------------------------------------------------------------

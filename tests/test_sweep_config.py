@@ -122,7 +122,7 @@ def test_from_args_builds_supervision_policies():
             "--chaos", "kill@3",
         ]
     )
-    config = SweepConfig.from_args(namespace, backend="pooled")
+    config = SweepConfig.from_args(namespace, backend="batched")
     assert config.retry.max_attempts == 5
     assert config.deadline.cap_s == 7.5
     assert config.deadline.floor_s == 7.5  # min(cap, 60): never above the cap
@@ -131,7 +131,7 @@ def test_from_args_builds_supervision_policies():
 
 def test_from_args_overrides_win():
     config = SweepConfig.from_args(
-        _parse(["--trace", "full"]), backend="pooled", trace=None
+        _parse(["--trace", "full"]), backend="batched", trace=None
     )
     assert config.trace is None
 
@@ -175,7 +175,7 @@ def test_positional_overflow_refused():
 def test_positional_and_keyword_overlap_refused():
     with pytest.warns(DeprecationWarning):
         with pytest.raises(TypeError, match="multiple values for backend"):
-            SessionPool(run_sbc_trial, "sequential", backend="pooled")
+            SessionPool(run_sbc_trial, "sequential", backend="batched")
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,3 @@ def test_run_matrix_signature_regained_the_supervision_knobs():
     # axis (forced to sequential), and material_groups only travels via
     # config= — everything else is first-class.
     assert missing == {"backend", "material_groups"}
-
-
-def test_async_host_shares_the_config_object():
-    from repro.runtime import AsyncSessionHost
-
-    config = SweepConfig(backend="async", executor="inline", trace="light")
-    host = AsyncSessionHost(config=config)
-    assert host.config is config
