@@ -351,7 +351,7 @@ class LockDisciplineRule(Rule):
     #: class name -> (guarded attributes, lock attribute)
     GUARDED: Dict[str, Tuple[Set[str], str]] = {
         "SchnorrGroup": (
-            {"_fb_state", "_encoding_cache", "_fb_calls", "_base_tables", "_base_evicted"},
+            {"_fb_state", "_encoding_cache", "_fb_calls", "_base_tables", "_base_evicted", "_base_logs"},
             "_accel_lock",
         ),
         "Replenisher": ({"armed", "burn_nonces", "burn_feldman", "_seen_sums"}, "_lock"),

@@ -16,7 +16,7 @@ Two parameter sets ship:
 Acceleration layer
 ------------------
 
-The group carries four caches, all mathematically transparent (every
+The group carries five caches, all mathematically transparent (every
 accelerated path returns bit-identical values to the naive formulas, so
 seeded executions are unaffected):
 
@@ -41,7 +41,17 @@ seeded executions are unaffected):
   interleaving to beat repeated C ``pow``; verification equations of the
   form ``a · y^e`` route through it;
 * **cached element encodings** — :meth:`element_to_bytes` memoises the
-  fixed-width encodings that Fiat–Shamir challenges hash over and over.
+  fixed-width encodings that Fiat–Shamir challenges hash over and over;
+* **public discrete logs** — :meth:`public_power_of_g` remembers the log
+  of each element it returns, and :meth:`exp`/:meth:`multi_exp` turn a
+  power of such a base into a ``g``-power on ``g``'s wider table.  The
+  election's RO seed :math:`r = g^h` is the one user: ``h`` is a hash
+  every party computes.  Only a log that every party computes from
+  public data may be registered.  A secret log (a voter's exponent, the
+  log of the election base ``w``, a ballot's) must never be: the cache
+  is shared by every party in the process, so a secret there would let
+  one party's secret do another party's verification work.  Bounded by
+  :data:`_BASE_LOG_MAX`, oldest entry evicted first.
 
 Arithmetic tier
 ---------------
@@ -113,6 +123,10 @@ BASE_TABLE_CACHE_BYTES = 1 << 20
 #: :meth:`SchnorrGroup.fixed_base`): enough for the bases of a hundred
 #: concurrently hosted elections.
 _BASE_EVICTED_MAX = 4096
+
+#: Bound on the public discrete-log registry (entries): an election
+#: registers one seed, so this covers a thousand concurrently hosted.
+_BASE_LOG_MAX = 1024
 
 
 # -- arithmetic backends ---------------------------------------------------
@@ -355,6 +369,8 @@ class SchnorrGroup:
         object.__setattr__(self, "_base_table_capacity", BASE_TABLE_CACHE_BYTES // table_bytes)
         object.__setattr__(self, "_base_tables", {})
         object.__setattr__(self, "_base_evicted", {})
+        # Element -> public log mod q, oldest first (see public_power_of_g).
+        object.__setattr__(self, "_base_logs", {})
         object.__setattr__(self, "_accel_lock", threading.Lock())
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -374,12 +390,18 @@ class SchnorrGroup:
     def exp(self, base: int, exponent: int) -> int:
         """``base ** exponent mod p`` (exponent reduced mod q).
 
-        ``g`` and any base hinted through :meth:`fixed_base` take a window
-        table; every other base pays one full ``pow``.
+        ``g``, any base registered through :meth:`public_power_of_g` (as
+        the ``g``-power of its log) and any base hinted through
+        :meth:`fixed_base` take a window table; every other base pays one
+        full ``pow``.
         """
         if base == self.g:
             return self.power_of_g(exponent)
-        table = self._base_tables.get(base % self.p)
+        key = base % self.p
+        log = self._base_logs.get(key)
+        if log is not None:
+            return self.power_of_g(log * exponent)
+        table = self._base_tables.get(key)
         if table is not None:
             return _window_table_pow(table, BASE_TABLE_WINDOW, exponent % self.q, self.p)
         return _ARITH.powmod(base, exponent % self.q, self.p)
@@ -398,6 +420,25 @@ class SchnorrGroup:
                 return _ARITH.powmod(self.g, e, self.p)
             self.precompute_fixed_base()
         return self._fixed_base_pow(e)
+
+    def public_power_of_g(self, log: int) -> int:
+        """``g ** log mod p``, registering ``log`` as the element's public log.
+
+        Later :meth:`exp` and :meth:`multi_exp` calls on the element then
+        cost one ``g``-power.  ``log`` must be computable by every party
+        from public data (see the module docstring): the registry is
+        shared by all parties in the process.
+        """
+        e = log % self.q
+        element = self.power_of_g(e)
+        logs = self._base_logs
+        if element not in logs:
+            with self._accel_lock:
+                if element not in logs:
+                    while len(logs) >= _BASE_LOG_MAX:
+                        logs.pop(next(iter(logs)))
+                    logs[element] = e
+        return element
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication."""
@@ -462,6 +503,7 @@ class SchnorrGroup:
         powers are computed.  The cache holds at most
         :data:`BASE_TABLE_CACHE_BYTES` of tables and evicts the oldest
         first; when one table alone exceeds the bound, hints are no-ops.
+        Bases registered through :meth:`public_power_of_g` need no table.
 
         A base whose table was evicted is not rebuilt while the group
         remembers the eviction.  Its re-hint shows that more bases are in
@@ -480,7 +522,12 @@ class SchnorrGroup:
         p = self.p
         for base in bases:
             key = base % p
-            if key == self.g or key in self._base_tables or key in self._base_evicted:
+            if (
+                key == self.g
+                or key in self._base_logs
+                or key in self._base_tables
+                or key in self._base_evicted
+            ):
                 continue
             table = _build_window_table(key, BASE_TABLE_WINDOW, self._base_table_rows, p)
             with self._accel_lock:
@@ -618,9 +665,10 @@ class SchnorrGroup:
         ``a · y^e``; expressing them as ``multi_exp(((a, 1), (y, e)))``
         lets the group share squarings between simultaneous large
         exponentiations (Straus interleaving) where that pays off, and
-        fold generator powers into the fixed-base table.  Bases hinted
-        through :meth:`fixed_base` take their own tables.  Identical
-        results to multiplying individual :meth:`exp` outputs.
+        fold generator powers into the fixed-base table.  Bases with a
+        registered public log fold into that same ``g`` exponent; bases
+        hinted through :meth:`fixed_base` take their own tables.
+        Identical results to multiplying individual :meth:`exp` outputs.
         """
         q = self.q
         p = self.p
@@ -639,12 +687,17 @@ class SchnorrGroup:
                 merged[b] = e if prior is None else (prior + e) % q
         result = 1
         general: List[Tuple[int, int]] = []
+        logs = self._base_logs
         tables = self._base_tables
         for b, e in merged.items():
             if e == 0:
                 continue
             if e == 1:
                 result = result * b % p
+                continue
+            log = logs.get(b)
+            if log is not None:
+                g_exponent = (g_exponent + log * e) % q
                 continue
             table = tables.get(b)
             if table is not None:

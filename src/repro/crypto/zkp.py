@@ -194,14 +194,6 @@ class BallotProof:
     branches: Tuple[Tuple[int, int, int, int], ...]  # (a1, a2, e, s) per choice
 
 
-def _ballot_statement(
-    group: SchnorrGroup, seed: int, w: int, ballot: int, vote: int
-) -> Tuple[int, int]:
-    """Statement for branch ``vote``: log_g(w) = log_seed(ballot / g^vote)."""
-    shifted = group.mul(ballot, group.inv(group.power_of_g(vote)))
-    return w, shifted
-
-
 def ballot_prove(
     group: SchnorrGroup,
     seed: int,
@@ -222,16 +214,30 @@ def ballot_prove(
     other branch is simulated with a random challenge/response pair, and
     the real branch's challenge absorbs the difference so the challenges
     sum to the global Fiat–Shamir challenge.
+
+    The simulated commitments ``key_base^s · w^{-c}`` and
+    ``seed^s · (ballot · g^{-choice})^{-c}`` are computed from the witness
+    as ``key_base^{s-x·c}`` and ``seed^{s-x·c} · g^{-(vote-choice)·c}``:
+    the same elements, with no power of ``w`` or of the ballot and no
+    inversion.  They are the same only if the statement holds, so it is
+    checked first; ``key_base`` and ``seed`` are group elements, as in
+    every ballot statement.
+
+    Raises:
+        ValueError: ``vote`` is not in ``choices``, or ``secret`` does not
+            open ``w`` and ``ballot``.
     """
     key_base = key_base or group.g
     choices = list(choices)
     if vote not in choices:
         raise ValueError("vote not in allowed choice set")
-    # Every branch raises these to fresh powers, and every verifier will
-    # again.  ``w`` and ``ballot`` see at most one power here, so their
-    # tables wait for the verifiers: built now, they were evicted unused
-    # whenever many elections ran at once.
+    # The key base and the seed are raised to a fresh power per branch,
+    # and again by every verifier.  ``w`` and ``ballot`` are never raised
+    # here, so their tables wait for the verifiers: built now, they were
+    # evicted unused whenever many elections ran at once.
     group.fixed_base(key_base, seed)
+    if group.exp(key_base, secret) != w or group.multi_exp(((seed, secret), (group.g, vote))) != ballot:
+        raise ValueError("secret does not open the ballot statement")
     real_index = choices.index(vote)
     commitments: List[Tuple[int, int]] = [(0, 0)] * len(choices)
     challenges: List[int] = [0] * len(choices)
@@ -239,20 +245,14 @@ def ballot_prove(
 
     k, real_a1 = _commitment_nonce(group, key_base, rng)
     for index, choice in enumerate(choices):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
         if index == real_index:
             commitments[index] = (real_a1, group.exp(seed, k))
         else:
-            challenges[index] = group.random_scalar(rng)
+            challenges[index] = c = group.random_scalar(rng)
             responses[index] = group.random_scalar(rng)
-            a1 = group.mul(
-                group.exp(key_base, responses[index]),
-                group.inv(group.exp(public1, challenges[index])),
-            )
-            a2 = group.mul(
-                group.exp(seed, responses[index]),
-                group.inv(group.exp(public2, challenges[index])),
-            )
+            exponent = responses[index] - secret * c
+            a1 = group.exp(key_base, exponent)
+            a2 = group.multi_exp(((seed, exponent), (group.g, (choice - vote) * c)))
             commitments[index] = (a1, a2)
 
     flat: List[int] = [seed, w, ballot]
@@ -283,9 +283,11 @@ def ballot_verify(
     """Verify a disjunctive ballot proof against the allowed choice set.
 
     Branch ``v`` checks ``key_base^s == a1 · w^e`` and
-    ``seed^s == a2 · (ballot · g^{-v})^e``; the second is evaluated as
-    ``a2 · ballot^e · g^{-v·e}``, the same group element, so every base
-    is one the election reuses (hinted below) or ``g``.
+    ``seed^s == a2 · (ballot · g^{-v})^e``.  The second is evaluated as
+    ``seed^s · g^{v·e} == a2 · ballot^e``, both sides times the unit
+    ``g^{v·e}``, so the verdict is the same for every input; every base is
+    then one the election reuses (hinted below, or the seed, whose public
+    log turns its power into a ``g``-power) or ``g``.
     """
     key_base = key_base or group.g
     choices = list(choices)
@@ -302,7 +304,7 @@ def ballot_verify(
     for (a1, a2, e, s), choice in zip(proof.branches, choices):
         if group.exp(key_base, s) != group.multi_exp(((a1, 1), (w, e))):
             return False
-        if group.exp(seed, s) != group.multi_exp(((a2, 1), (ballot, e), (g, -choice * e))):
+        if group.multi_exp(((seed, s), (g, choice * e))) != group.multi_exp(((a2, 1), (ballot, e))):
             return False
     return True
 
@@ -341,12 +343,11 @@ def ballot_batch_item(
     global_challenge = _fs_challenge(group, *flat, domain=b"ballot-or")
     if sum(e for _, _, e, _ in proof.branches) % group.q != global_challenge:
         return BatchItem(bases=(), equations=(), check=check)
+    g = group.g
     equations: List[Equation] = []
     for (a1, a2, e, s), choice in zip(proof.branches, choice_list):
-        public1, public2 = _ballot_statement(group, seed, w, ballot, choice)
-        equations.append(Equation(lhs=((key_base, s),), rhs=((a1, 1), (public1, e))))
-        equations.append(Equation(lhs=((seed, s),), rhs=((a2, 1), (public2, e))))
-    # Membership of the derived statements follows from the screened
-    # inputs (the subgroup is closed under mul/inv), so ``elements``
-    # covers every base the equations touch.
+        equations.append(Equation(lhs=((key_base, s),), rhs=((a1, 1), (w, e))))
+        equations.append(Equation(lhs=((seed, s), (g, choice * e)), rhs=((a2, 1), (ballot, e))))
+    # The equations touch ``elements`` and ``g`` only (the second is
+    # :func:`ballot_verify`'s form), so the screen covers every base.
     return BatchItem(bases=elements, equations=tuple(equations), check=check)

@@ -259,10 +259,15 @@ class VoterParty(Party):
     # -- casting ----------------------------------------------------------------
 
     def _seed(self) -> int:
-        """The public random seed ``r`` (a group element from the RO)."""
+        """The public random seed ``r`` (a group element from the RO).
+
+        Its log is a hash every party computes, so it is registered with
+        the group: every power of ``r`` (``r^{x_i}`` in the ballot, and
+        the proof's and verifiers' powers) becomes a ``g``-power.
+        """
         digest = self.oracle.query(b"election-seed:" + self.session.sid.encode(), self.pid)
         exponent = hash_to_int(digest, modulus=self.group.q, domain=b"seed")
-        return self.group.power_of_g(exponent)
+        return self.group.public_power_of_g(exponent)
 
     def vote(self, candidate: str) -> None:
         """``Vote`` input: build, prove, sign and cast the ballot via SBC."""

@@ -466,3 +466,123 @@ def test_concurrent_hints_for_one_base_keep_one_table():
     assert not any(thread.is_alive() for thread in threads)
     assert list(group._base_tables) == earlier + [base]
     assert group.exp(base, 12345) == pow(base, 12345, group.p)
+
+
+# -- public discrete-log registry ----------------------------------------------
+
+#: Logs for the registry path: 0 (the element 1), 1 (g itself), -1, and
+#: unreduced and negative representatives.
+REGISTRY_LOGS = (0, 1, TEST_GROUP.q - 1, TEST_GROUP.q + 2, -5, 5**40)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    log=st.one_of(st.sampled_from(REGISTRY_LOGS), st.integers(min_value=-(1 << 300), max_value=1 << 300)),
+    exponent=st.one_of(
+        st.sampled_from(TABLE_EXPONENTS),
+        st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    ),
+    other=st.one_of(st.sampled_from(TABLE_EXPONENTS), st.integers(min_value=-(1 << 300), max_value=1 << 300)),
+)
+def test_registered_base_powers_match_pow(table_backend, log, exponent, other):
+    group = fresh_group()
+    p, q, g = group.p, group.q, group.g
+    base = group.public_power_of_g(log)
+    assert base == pow(g, log % q, p) and type(base) is int
+    assert group.public_power_of_g(log + q) == base  # re-registration keeps one entry
+    assert group._base_logs == {base: log % q}
+    result = group.exp(base, exponent)
+    assert result == pow(base, exponent % q, p) and type(result) is int
+    hinted = 5**40 % p
+    group.fixed_base(hinted)
+    for pairs in (
+        ((base, exponent),),
+        ((base, exponent), (g, other)),  # folds into g's exponent
+        ((base, exponent), (base + p, other)),  # merges with itself first
+        ((base, exponent), (hinted, other), (base, 1)),
+        ((g, exponent), (base, other), (_non_residue(p), 3)),
+    ):
+        expected = 1
+        for b, e in pairs:
+            expected = expected * pow(b, e % q, p) % p
+        result = group.multi_exp(pairs)
+        assert result == expected, pairs
+        assert type(result) is int
+
+
+def test_registered_bases_take_no_table():
+    group = fresh_group()
+    seed = group.public_power_of_g(12345)
+    group.fixed_base(seed, 3)
+    assert list(group._base_tables) == [3]
+
+
+def test_public_log_registry_is_bounded_oldest_first(monkeypatch):
+    import repro.crypto.groups as groups
+
+    monkeypatch.setattr(groups, "_BASE_LOG_MAX", 3)
+    group = fresh_group()
+    elements = [group.public_power_of_g(log) for log in range(2, 8)]
+    assert list(group._base_logs) == elements[-3:]
+    assert group._base_logs == {group.power_of_g(log): log for log in range(5, 8)}
+    group.public_power_of_g(5)  # already registered: stays oldest
+    assert list(group._base_logs) == elements[-3:]
+    group.public_power_of_g(2)
+    assert list(group._base_logs) == elements[-2:] + [elements[0]]
+    for element in elements:  # evicted or not, powers are unchanged
+        assert group.exp(element, -9) == pow(element, group.q - 9, group.p)
+
+
+def test_pickled_clone_has_an_empty_log_registry():
+    group = fresh_group()
+    seed = group.public_power_of_g(99)
+    clone = pickle.loads(pickle.dumps(group))
+    assert group.__getstate__() == {"p": group.p, "q": group.q, "g": group.g}
+    assert group._base_logs == {seed: 99} and clone._base_logs == {}
+    assert clone.exp(seed, 777) == group.exp(seed, 777) == pow(seed, 777, group.p)
+
+
+def test_group_2048_uses_the_registry_without_tables(monkeypatch):
+    import repro.crypto.groups as groups
+
+    group = SchnorrGroup(p=GROUP_2048.p, q=GROUP_2048.q, g=GROUP_2048.g)
+    assert group._base_table_capacity == 0
+    seed = group.public_power_of_g(1 << 1000)
+    group.fixed_base(seed)
+    assert group._base_tables == {} and group._base_logs == {seed: (1 << 1000) % group.q}
+    powered: list = []
+
+    class Spy(PythonArith):
+        def powmod(self, base, exponent, modulus):
+            powered.append(base)
+            return super().powmod(base, exponent, modulus)
+
+    monkeypatch.setattr(groups, "_ARITH", Spy())
+    e = (1 << 700) + 3
+    assert group.exp(seed, e) == pow(seed, e, group.p)
+    assert group.multi_exp(((seed, e), (group.g, 5))) == pow(seed, e, group.p) * pow(group.g, 5, group.p) % group.p
+    assert powered and set(powered) == {group.g}  # g-powers only, never the seed
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-item", "batched"])
+def test_an_election_registers_only_its_ro_seed(batched):
+    # The public-only rule: voter exponents, the election base's log and
+    # ballot logs must never enter the shared registry, only the seed.
+    from repro.core import build_voting_stack
+    from repro.crypto.batch import BatchPolicy, batching
+
+    with TEST_GROUP._accel_lock:
+        TEST_GROUP._base_logs.clear()
+    with batching(BatchPolicy() if batched else None):
+        stack = build_voting_stack(voters=4, candidates=("yes", "no"), seed=7)
+        for authority in stack.authorities.values():
+            authority.deal()
+        stack.run_rounds(1)
+        for index, candidate in enumerate(("yes", "no", "no", "yes")):
+            stack.parties[f"V{index}"].vote(candidate)
+        stack.run_until_result()
+    results = stack.results()
+    assert len(results) == 4 and all(result == {"yes": 2, "no": 2} for result in results.values())
+    seed = stack.parties["V0"]._seed()
+    assert list(TEST_GROUP._base_logs) == [seed]
+    assert pow(TEST_GROUP.g, TEST_GROUP._base_logs[seed], TEST_GROUP.p) == seed

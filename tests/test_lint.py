@@ -275,6 +275,21 @@ def test_rpr004_flags_unlocked_base_table_insert_and_eviction():
     assert [f.message.split("'")[1] for f in findings] == ["_base_tables", "_base_evicted", "_base_tables"]
 
 
+def test_rpr004_flags_unlocked_public_log_registry_insert():
+    findings, _ = findings_for(
+        """
+        class SchnorrGroup:
+            def public_power_of_g(self, log):
+                element = self.power_of_g(log)
+                self._base_logs[element] = log
+                return element
+        """,
+        "crypto/groups.py",
+    )
+    assert rule_ids(findings) == ["RPR004"]
+    assert "'_base_logs'" in findings[0].message and "_accel_lock" in findings[0].message
+
+
 def test_rpr004_flags_replenisher_registry():
     findings, _ = findings_for(
         """

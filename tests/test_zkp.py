@@ -1,6 +1,7 @@
 """Σ-protocol proofs: completeness and soundness rejection paths."""
 
-from typing import List, Sequence
+import random
+from typing import List, Sequence, Tuple
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.crypto.batch import verify_batch
 from repro.crypto.groups import TEST_GROUP, SchnorrGroup, jacobi
 from repro.crypto.zkp import (
     BallotProof,
+    _commitment_nonce,
     _fs_challenge,
     ballot_batch_item,
     ballot_prove,
@@ -17,6 +19,7 @@ from repro.crypto.zkp import (
     pok_prove,
     pok_verify,
 )
+from repro.uc.encoding import encode
 
 G = TEST_GROUP
 
@@ -129,7 +132,7 @@ def test_ballot_challenge_sum_checked(rng):
 
 
 # ---------------------------------------------------------------------------
-# Verifier parity: the reused-base rewrite against the previous verifier
+# Parity: the rewritten prover and verifier against the previous ones
 # ---------------------------------------------------------------------------
 
 
@@ -168,8 +171,8 @@ def reference_ballot_verify(
     return True
 
 
-#: The reference runs on a cold clone: no per-base tables are ever hinted
-#: there, so its powers come from plain ``pow`` (and ``g``'s own table).
+#: The references run on a cold clone where no public log is ever
+#: registered, so their seed powers never become ``g``-powers.
 REFERENCE_GROUP = SchnorrGroup(p=G.p, q=G.q, g=G.g)
 NON_RESIDUE = next(a for a in range(2, 100) if jacobi(a, G.p) == -1)
 NON_MEMBERS = (0, G.p - 1, NON_RESIDUE)
@@ -199,13 +202,18 @@ def _mutation_corpus(rng):
     """(label, seed, w, ballot, proof, choices, key_base) verification cases."""
     cases = []
     election_base = G.random_element(rng)
-    for choices, key_base in (([1, 5, 25], election_base), ([0, 1], 0)):
+    # The second configuration's seeds carry a registered public log, as
+    # the election's RO seed does; drawn like ``random_element``.
+    for choices, key_base, make_seed in (
+        ([1, 5, 25], election_base, G.power_of_g),
+        ([0, 1], 0, G.public_power_of_g),
+    ):
         base = key_base or G.g
         honest = []
         for vote in choices:
             x = G.random_scalar(rng)
             w = G.exp(base, x)
-            seed = G.random_element(rng)
+            seed = make_seed(G.random_scalar(rng))
             ballot = G.mul(G.exp(seed, x), G.power_of_g(vote))
             proof = ballot_prove(G, seed, w, ballot, x, vote, choices, rng, key_base=key_base)
             honest.append((seed, w, ballot, proof))
@@ -273,3 +281,109 @@ def test_ballot_verify_matches_reference_on_mutation_corpus(rng):
         for _, seed, w, ballot, proof, choices, key_base in corpus
     ]
     assert list(verify_batch(G, items).verdicts) == verdicts
+
+
+def reference_ballot_prove(
+    group: SchnorrGroup,
+    seed: int,
+    w: int,
+    ballot: int,
+    secret: int,
+    vote: int,
+    choices: Sequence[int],
+    rng,
+    key_base: int = 0,
+) -> BallotProof:
+    """The prover before it used its witness, verbatim: simulated branches
+    pay powers of ``w`` and ``ballot · g^{-choice}`` and two inversions."""
+    key_base = key_base or group.g
+    choices = list(choices)
+    if vote not in choices:
+        raise ValueError("vote not in allowed choice set")
+    # Every branch raises these to fresh powers, and every verifier will
+    # again.  ``w`` and ``ballot`` see at most one power here, so their
+    # tables wait for the verifiers: built now, they were evicted unused
+    # whenever many elections ran at once.
+    group.fixed_base(key_base, seed)
+    real_index = choices.index(vote)
+    commitments: List[Tuple[int, int]] = [(0, 0)] * len(choices)
+    challenges: List[int] = [0] * len(choices)
+    responses: List[int] = [0] * len(choices)
+
+    k, real_a1 = _commitment_nonce(group, key_base, rng)
+    for index, choice in enumerate(choices):
+        public1, public2 = _reference_ballot_statement(group, seed, w, ballot, choice)
+        if index == real_index:
+            commitments[index] = (real_a1, group.exp(seed, k))
+        else:
+            challenges[index] = group.random_scalar(rng)
+            responses[index] = group.random_scalar(rng)
+            a1 = group.mul(
+                group.exp(key_base, responses[index]),
+                group.inv(group.exp(public1, challenges[index])),
+            )
+            a2 = group.mul(
+                group.exp(seed, responses[index]),
+                group.inv(group.exp(public2, challenges[index])),
+            )
+            commitments[index] = (a1, a2)
+
+    flat: List[int] = [seed, w, ballot]
+    for a1, a2 in commitments:
+        flat.extend((a1, a2))
+    global_challenge = _fs_challenge(group, *flat, domain=b"ballot-or")
+
+    challenges[real_index] = (global_challenge - sum(challenges)) % group.q
+    responses[real_index] = (k + challenges[real_index] * secret) % group.q
+
+    return BallotProof(
+        branches=tuple(
+            (commitments[i][0], commitments[i][1], challenges[i], responses[i])
+            for i in range(len(choices))
+        )
+    )
+
+
+def _prover_statements(rng):
+    """(label, seed, w, ballot, secret, vote, choices, key_base) honest statements."""
+    statements = []
+    election_base = G.random_element(rng)
+    for choices in ([1, 5], [1, 5, 25]):
+        for key_base in (0, election_base):
+            for registered in (False, True):
+                for vote in choices:
+                    x = G.random_scalar(rng)
+                    w = G.exp(key_base or G.g, x)
+                    log = G.random_scalar(rng)
+                    seed = G.public_power_of_g(log) if registered else G.power_of_g(log)
+                    assert (seed in G._base_logs) == registered
+                    ballot = G.mul(G.exp(seed, x), G.power_of_g(vote))
+                    label = f"{choices}/base={'w' if key_base else 'g'}/registered={registered}/vote={vote}"
+                    statements.append((label, seed, w, ballot, x, vote, choices, key_base))
+    return statements
+
+
+def test_ballot_prove_matches_reference_byte_for_byte(rng):
+    statements = _prover_statements(rng)
+    assert len(statements) == 2 * 2 * (2 + 3)
+    for index, (label, seed, w, ballot, x, vote, choices, key_base) in enumerate(statements):
+        proof = ballot_prove(G, seed, w, ballot, x, vote, choices, random.Random(index), key_base=key_base)
+        expected = reference_ballot_prove(
+            REFERENCE_GROUP, seed, w, ballot, x, vote, choices, random.Random(index), key_base=key_base
+        )
+        assert encode(proof) == encode(expected), label
+        assert ballot_verify(G, seed, w, ballot, proof, choices, key_base), label
+
+
+def test_ballot_prove_rejects_false_statements(rng):
+    for label, seed, w, ballot, x, vote, choices, key_base in _prover_statements(rng):
+        shifted = G.mul(ballot, G.g)
+        for name, statement in (
+            ("wrong secret", (seed, w, ballot, x + 1)),
+            ("wrong ballot", (seed, w, shifted, x)),
+            ("wrong w", (seed, G.mul(w, G.g), ballot, x)),
+        ):
+            draws = random.Random(0)
+            with pytest.raises(ValueError, match="does not open"):
+                ballot_prove(G, *statement, vote, choices, draws, key_base=key_base)
+            assert draws.random() == random.Random(0).random(), f"{label}: {name} drew randomness"
