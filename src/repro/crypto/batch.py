@@ -10,8 +10,7 @@ equation by an independent short random coefficient, multiply them all
 together, and check the single combined equation with one simultaneous
 multi-exponentiation.  If every equation holds, the combination holds;
 if any fails, the combination fails except with probability
-:math:`2^{-63}` per trial (an adversary would have to guess the
-coefficients drawn *after* the proofs were fixed).
+:math:`2^{-63}` per coefficient set the prover cannot predict.
 
 The pieces:
 
@@ -20,8 +19,8 @@ The pieces:
   of the form :math:`\\prod lhs_i = \\prod rhs_j`, and an exact per-item
   ``check()`` fallback;
 * :func:`verify_batch` — the engine: screens memberships (cached across
-  items — public keys repeat), draws one 64-bit coefficient *per
-  equation* from a seeded RNG, evaluates the combined equation through
+  items — public keys repeat), derives one 64-bit coefficient *per
+  equation* from a hash of the batch, evaluates the combined equation through
   :meth:`~repro.crypto.groups.SchnorrGroup.multi_exp` (Straus shares
   the squaring ladder across every base in the batch), and on failure
   bisects divide-and-conquer style down to the exact culprit set;
@@ -40,14 +39,24 @@ the per-item verdicts (up to the negligible false-accept probability of
 a passing combined equation), preserving output parity with unbatched
 runs.
 
-Coefficients come from ``random.Random(seed)`` and each item draws one
-coefficient per equation: a *single* per-item coefficient would be
-unsound, since errors in two equations of the same item could cancel.
+Each equation gets its own coefficient: a *single* per-item coefficient
+would be unsound, since errors in two equations of the same item could
+cancel.  The coefficients are a hash of every batched equation (and of
+the group), with the seed as a domain tag, so they are fixed only once
+the proofs are.  Coefficients from a fixed public seed alone would be
+known to the prover in advance, and a prover that knows them can write
+an invalid proof whose equation errors cancel in the combination: a
+ballot outside the choice set that ``ballot_verify`` rejects and a
+seeded batch accepted (``tests/test_batch_verify.py`` keeps that
+forgery).  With hashed coefficients, each new proof a cheating prover
+tries is one fresh draw, accepted with probability about
+:math:`2^{-63}`.  Verdicts stay deterministic: the same batch always
+gets the same coefficients.
 """
 
 from __future__ import annotations
 
-import random
+import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -59,10 +68,9 @@ from repro.crypto.groups import SchnorrGroup
 #: analogue of ``online.spend``: batched runs are digest-pinned).
 BATCH_EVENT_KIND = "verify.batch"
 
-#: Default RLC coefficient seed; any fixed value is sound (coefficients
-#: only need to be unpredictable to the *prover*, who committed to the
-#: proofs before the batch was formed) and a fixed default keeps runs
-#: reproducible.
+#: Default RLC domain tag: the seed is hashed with the batch, so any
+#: fixed value is sound (the coefficients are unpredictable to a prover
+#: until its proof is fixed) and a fixed default keeps runs reproducible.
 DEFAULT_BATCH_SEED = 0x5BC
 
 #: Width of the random coefficients (bits); error-detection probability
@@ -114,7 +122,7 @@ class BatchReport:
             (non-member bases, no equations, or too few to batch).
         evaluations: Combined multi-exp evaluations performed (1 for a
             clean batch; grows logarithmically during bisection).
-        seed: The RLC coefficient seed used (reproducibility anchor).
+        seed: The RLC coefficient domain tag used (reproducibility anchor).
     """
 
     verdicts: Tuple[bool, ...]
@@ -157,9 +165,10 @@ def verify_batch(
     ``min_items`` batchable items skip the combination entirely (one
     combined multi-exp costs more than one direct verify).
 
-    Coefficients are drawn once per (item, equation) from
-    ``random.Random(seed)`` in item order, so a given seed reproduces
-    the exact evaluation sequence, bisection included.
+    Coefficients are derived once per (item, equation) from a hash of
+    ``seed``, the group and every batched equation
+    (:func:`_coefficients`), so a given batch and seed reproduce the
+    exact evaluation sequence, bisection included.
     """
     item_list = list(items)
     n = len(item_list)
@@ -191,18 +200,7 @@ def verify_batch(
     else:
         batched = len(batchable)
 
-    # RLC coefficients are *public* verifier randomness derived from a
-    # Fiat–Shamir-style digest seed — deliberately reproducible, never
-    # secret, never spent from the preprocessed pools; the seam does not
-    # apply.
-    rng = random.Random(seed)  # repro: allow[RPR002]
-    coefficients: Dict[int, Tuple[int, ...]] = {
-        index: tuple(
-            rng.getrandbits(COEFFICIENT_BITS) | 1  # repro: allow[RPR002]
-            for _ in item_list[index].equations
-        )
-        for index in batchable
-    }
+    coefficients = _coefficients(group, seed, item_list, batchable)
 
     evaluations = 0
 
@@ -246,6 +244,43 @@ def verify_batch(
     )
 
 
+def _coefficients(
+    group: SchnorrGroup,
+    seed: int,
+    items: Sequence[BatchItem],
+    batchable: Sequence[int],
+) -> Dict[int, Tuple[int, ...]]:
+    """One odd ``COEFFICIENT_BITS``-bit coefficient per batched equation.
+
+    Fiat–Shamir over the whole batch: a SHA-256 transcript of the seed
+    (as a domain tag), the group and every batched equation in order,
+    then one coefficient per equation from SHA-256 of the transcript and
+    the equation's position.  The coefficients are public and
+    reproducible verifier randomness, never secret and never spent from
+    the preprocessed pools, so the randomness seam does not apply.
+    """
+    transcript = hashlib.sha256(b"repro-rlc|%d|%x|%x|%x" % (seed, group.p, group.q, group.g))
+    for index in batchable:
+        transcript.update(b"#%d" % index)
+        for equation in items[index].equations:
+            for side in (equation.lhs, equation.rhs):
+                transcript.update(b"|")
+                for base, exponent in side:
+                    transcript.update(b"%x,%x;" % (base, exponent))
+    digest = transcript.digest()
+    width = COEFFICIENT_BITS // 8
+    coefficients: Dict[int, Tuple[int, ...]] = {}
+    position = 0
+    for index in batchable:
+        values = []
+        for _ in items[index].equations:
+            block = hashlib.sha256(digest + position.to_bytes(8, "big")).digest()
+            values.append(int.from_bytes(block[:width], "big") | 1)
+            position += 1
+        coefficients[index] = tuple(values)
+    return coefficients
+
+
 # ---------------------------------------------------------------------------
 # Ambient batching policy (the opt-in seam protocol code consults)
 # ---------------------------------------------------------------------------
@@ -256,7 +291,7 @@ class BatchPolicy:
     """How a protocol round should batch its verifications.
 
     Attributes:
-        seed: RLC coefficient seed passed to :func:`verify_batch`.
+        seed: RLC coefficient domain tag passed to :func:`verify_batch`.
         min_items: Below this many batchable items, verify per-item.
         record_trace: Record a :data:`BATCH_EVENT_KIND` event per batched
             round.  On: batched runs are digest-pinned (like online-spend

@@ -329,6 +329,21 @@ def _window_table_pow(table: List[List[int]], window: int, e: int, p: int) -> in
     return int(result)
 
 
+def _byte_table_pow(table: List[List[int]], e: int, rows: int, p: int) -> int:
+    """``base ** e`` from ``base``'s window-8 table of ``rows`` rows, for ``0 <= e < 2 ** (8 * rows)``.
+
+    A byte-wide digit is a byte of ``e``, so the digits come from one
+    ``to_bytes`` call instead of a shift and a mask per digit.
+    """
+    arith = _ARITH
+    modulus = arith.to_native(p)
+    result = arith.to_native(1)
+    for row, digit in zip(table, e.to_bytes(rows, "little")):
+        if digit:
+            result = result * row[digit] % modulus
+    return int(result)
+
+
 @dataclass(frozen=True)
 class SchnorrGroup:
     """A cyclic group of prime order ``q`` inside Z_p^* with generator ``g``.

@@ -56,12 +56,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup, warm_groups
 from repro.crypto.preprocessing import (
     CryptoMaterial,
+    MaterialBlob,
     MaterialError,
     MaterialIntegrityError,
     build_material,
     deserialize_material,
     extend_material,
     group_fingerprint,
+    read_material,
     serialize_material,
 )
 from repro.crypto.randomness import RandomnessSource, SampleSource
@@ -187,12 +189,47 @@ class SpendLedger:
 
 
 class MaterialStore:
-    """Versioned on-disk cache of serialized preprocessing material."""
+    """Versioned on-disk cache of serialized preprocessing material.
+
+    A store validates each file version once: it remembers the last blob
+    it read and checked per file, keyed by the file's inode, size and
+    modification time, so planning a sweep and publishing its material
+    through one store read and hash the file once.  Every write replaces
+    the file (a new inode), so a rebuilt or extended blob is always read
+    again; the remembered blob is the checked bytes themselves, never a
+    verdict about bytes read later.
+    """
 
     SUFFIX = ".v1"
 
     def __init__(self, root: Union[str, pathlib.Path, None] = None) -> None:
         self.root = pathlib.Path(root) if root is not None else default_material_dir()
+        self._validated: Dict[pathlib.Path, Tuple[Tuple[int, int, int], MaterialBlob]] = {}
+
+    def _read_validated(self, path: pathlib.Path) -> MaterialBlob:
+        """``path``'s blob, read and checked once per file version.
+
+        Raises:
+            FileNotFoundError: no such file.
+            MaterialError: the file is corrupt.
+        """
+        stat = path.stat()
+        version = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        known = self._validated.get(path)
+        if known is not None and known[0] == version:
+            return known[1]
+        blob = read_material(path.read_bytes())
+        self._validated[path] = (version, blob)
+        return blob
+
+    def _load_validated(self, group: SchnorrGroup) -> MaterialBlob:
+        blob = self._read_validated(self.path_for(group))
+        if not blob.matches(group):
+            raise MaterialIntegrityError(
+                f"store file {self.path_for(group).name} holds material for "
+                "different group parameters"
+            )
+        return blob
 
     def path_for(self, group: SchnorrGroup) -> pathlib.Path:
         return self.root / f"{group_fingerprint(group)}{self.SUFFIX}"
@@ -269,13 +306,7 @@ class MaterialStore:
             FileNotFoundError: no material cached for this fingerprint.
             MaterialError: the file exists but is corrupt or mismatched.
         """
-        material = deserialize_material(self.load_blob(group))
-        if not material.matches(group):
-            raise MaterialIntegrityError(
-                f"store file {self.path_for(group).name} holds material for "
-                "different group parameters"
-            )
-        return material
+        return self._load_validated(group).decode()
 
     def load_fingerprint(self, fingerprint: str) -> CryptoMaterial:
         """Load the store file named by a bare fingerprint.
@@ -290,13 +321,13 @@ class MaterialStore:
                 parameters do not hash to its name.
         """
         path = self.root / f"{fingerprint}{self.SUFFIX}"
-        material = deserialize_material(path.read_bytes())
-        if material.fingerprint != fingerprint:
+        blob = self._read_validated(path)
+        if blob.fingerprint != fingerprint:
             raise MaterialIntegrityError(
                 f"store file {path.name} holds material fingerprinted "
-                f"{material.fingerprint} (renamed or cross-copied file)"
+                f"{blob.fingerprint} (renamed or cross-copied file)"
             )
-        return material
+        return blob.decode()
 
     def ensure(self, group: SchnorrGroup, **build_kwargs: Any) -> CryptoMaterial:
         """Load the cached material, building (and persisting) on a miss.
@@ -305,23 +336,19 @@ class MaterialStore:
         warns, rebuilds from scratch and overwrites the bad file — the
         fallback-to-compute contract at the store level.
         """
-        return deserialize_material(self.ensure_blob(group, **build_kwargs))
+        return self.ensure_validated(group, **build_kwargs).decode()
 
-    def ensure_blob(self, group: SchnorrGroup, **build_kwargs: Any) -> bytes:
-        """Like :meth:`ensure`, but returns the validated raw blob.
+    def ensure_validated(
+        self, group: SchnorrGroup, **build_kwargs: Any
+    ) -> MaterialBlob:
+        """Like :meth:`ensure`, but returns the checked blob and its header.
 
-        The publish path ships bytes (into shared memory), so this reads
-        and validates the file exactly once instead of a deserialize in
-        ``ensure`` followed by a second read of the same file.
+        Planning reads the header and publishing ships the bytes, so
+        neither decodes anything; a file version this store already
+        checked is not read again.
         """
         try:
-            blob = self.load_blob(group)
-            if not deserialize_material(blob).matches(group):
-                raise MaterialIntegrityError(
-                    f"store file {self.path_for(group).name} holds material "
-                    "for different group parameters"
-                )
-            return blob
+            return self._load_validated(group)
         # No store file yet is the normal first-run path, not a
         # degradation: build_material below is the point of ensure().
         except FileNotFoundError:  # repro: allow[RPR005]
@@ -334,9 +361,9 @@ class MaterialStore:
                 stacklevel=2,
             )
         material = build_material(group, **build_kwargs)
-        blob = serialize_material(material)
-        self._write_blob(material.fingerprint, blob)
-        return blob
+        return self._read_validated(
+            self._write_blob(material.fingerprint, serialize_material(material))
+        )
 
     def build(
         self, groups: Optional[Sequence[SchnorrGroup]] = None, **build_kwargs: Any
@@ -664,7 +691,7 @@ def publish_material(
     try:
         for group in groups:
             # Lazy offline phase: load-and-validate, or build-and-save.
-            blob = store.ensure_blob(group)
+            blob = store.ensure_validated(group).data
             fingerprint = group_fingerprint(group)
             ref = MaterialRef(
                 fingerprint=fingerprint,
@@ -1084,7 +1111,8 @@ class OnlinePlan:
         """
         group = group if group is not None else TEST_GROUP
         store = store or MaterialStore()
-        material = store.ensure(group)
+        # The plan needs the header only: validate, decode nothing.
+        material = store.ensure_validated(group)
         tasks = list(tasks)
         if slots is None:
             slots = range(len(tasks))
@@ -1113,8 +1141,8 @@ class OnlinePlan:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                nonce_offset = len(material.nonces)
-                feldman_offset = len(material.feldman)
+                nonce_offset = material.nonce_count
+                feldman_offset = material.feldman_count
             else:
                 nonce_offset = ledger.nonce_high
                 feldman_offset = ledger.feldman_high
@@ -1136,8 +1164,8 @@ class OnlinePlan:
             nonces_per_task=nonces_per_task,
             feldman_per_task=feldman_per_task,
             material_seed=material.built_with_seed,
-            pool_nonces=len(material.nonces),
-            pool_feldman=len(material.feldman),
+            pool_nonces=material.nonce_count,
+            pool_feldman=material.feldman_count,
             nonce_offset=nonce_offset,
             feldman_offset=feldman_offset,
             consume_forward=consume_forward,

@@ -603,13 +603,16 @@ class SessionPool:
         self.trace = config.trace
         self.runner_kwargs = dict(runner_kwargs)
 
-    def _online_plan(self, seeds: Sequence[Any]) -> Optional[Any]:
+    def _online_plan(
+        self, seeds: Sequence[Any], store: Optional[Any] = None
+    ) -> Optional[Any]:
         """Resolve this sweep's :class:`OnlinePlan` (or ``None``).
 
         ``online=True`` plans positionally over ``seeds`` against the
-        first material group; an explicit plan passes through untouched
-        (the caller owns slot assignment — and the reference replay of a
-        ``verify()`` must reuse the sweep's exact plan).
+        first material group, through ``store`` when given; an explicit
+        plan passes through untouched (the caller owns slot assignment —
+        and the reference replay of a ``verify()`` must reuse the sweep's
+        exact plan).
         """
         if not self.online:
             return None
@@ -621,7 +624,7 @@ class SessionPool:
 
         group = (self.material_groups or (TEST_GROUP,))[0]
         return OnlinePlan.for_tasks(
-            seeds, group=group, consume_forward=self.consume_forward
+            seeds, group=group, store=store, consume_forward=self.consume_forward
         )
 
     @staticmethod
@@ -844,7 +847,7 @@ class SessionPool:
         }
 
     def _journal_open(
-        self, seeds: Sequence[Any]
+        self, seeds: Sequence[Any], store: Optional[Any] = None
     ) -> Tuple[Optional[Any], Dict[Any, TrialResult], Optional[Any], bool]:
         """Open/resume the sweep journal; resolve the online plan.
 
@@ -856,7 +859,7 @@ class SessionPool:
         run() the plan was restored, not freshly reserved.
         """
         if self.journal is None:
-            return None, {}, self._online_plan(seeds), True
+            return None, {}, self._online_plan(seeds, store), True
         from repro.runtime.supervisor import (
             SweepJournal,
             plan_from_record,
@@ -866,7 +869,7 @@ class SessionPool:
 
         journal = SweepJournal(self.journal)
         if not self.resume:
-            online_plan = self._online_plan(seeds)
+            online_plan = self._online_plan(seeds, store)
             journal.begin(
                 self._journal_config(seeds),
                 plan_to_record(online_plan) if online_plan is not None else None,
@@ -901,11 +904,14 @@ class SessionPool:
         — the honest partial report the sweep completes with instead
         of crashing.
         """
-        from repro.runtime.material import publish_material
+        from repro.runtime.material import MaterialStore, publish_material
 
         seeds = list(seeds)
         kwargs = self._call_kwargs()
-        journal, resumed, online_plan, _ = self._journal_open(seeds)
+        # One store for the run: planning and publishing check each store
+        # file once between them.
+        store = MaterialStore()
+        journal, resumed, online_plan, _ = self._journal_open(seeds, store)
         if online_plan is not None:
             kwargs["online"] = online_plan
         if self.batch_policy is not None:
@@ -955,7 +961,7 @@ class SessionPool:
                     # inside the timed region and misreport the source.
                     if self.warmup:
                         handle, release = publish_material(
-                            self.material, groups=self.material_groups
+                            self.material, groups=self.material_groups, store=store
                         )
                     else:
                         handle, release = None, lambda: None

@@ -23,6 +23,7 @@ import pytest
 
 from repro.crypto.batch import (
     BATCH_EVENT_KIND,
+    DEFAULT_BATCH_SEED,
     BatchItem,
     BatchPolicy,
     Equation,
@@ -360,3 +361,113 @@ def test_forged_ballot_rejected_identically_batched_and_not():
             stack.run_until_result()
         results.append(stack.results()["V0"])
     assert results[0] == results[1] == {"yes": 3, "no": 0}
+
+
+# ---------------------------------------------------------------------------
+# Soundness: coefficients the prover cannot know in advance
+# ---------------------------------------------------------------------------
+
+
+def seed_only_coefficients(seed, count):
+    """The first ``count`` coefficients a batch drawing them from ``random.Random(seed)`` alone would use.
+
+    That is what any prover can compute before writing its proof when the
+    coefficients depend on a public seed and nothing else.
+    """
+    rng = random.Random(seed)
+    return [rng.getrandbits(64) | 1 for _ in range(count)]
+
+
+def forge_ballot_proof(seed, w, secret, vote, choices, known, key_base=0):
+    """A two-branch ballot proof for a ``vote`` outside ``choices``.
+
+    ``known`` are the four coefficients the prover expects for the
+    proof's equations (key equation then ballot equation, per branch).
+    Each branch is proved as if the vote were its choice:
+    ``a1 = key_base^k``, ``a2 = seed^k``, ``s = k + x·e``.  Every key
+    equation holds, and branch ``i``'s ballot equation is off by
+    ``g^{(choice_i - vote)·e_i}``.  The prover splits the Fiat–Shamir
+    challenge so that ``Σ z_i·(choice_i - vote)·e_i ≡ 0 (mod q)``: the
+    errors cancel in the combined equation, and only there.
+    """
+    from repro.crypto.zkp import _fs_challenge
+
+    key_base = key_base or G.g
+    ballot = G.mul(G.exp(seed, secret), G.power_of_g(vote))
+    nonces = [11 + 7 * index for index in range(2)]
+    commitments = [(G.exp(key_base, k), G.exp(seed, k)) for k in nonces]
+    flat = [seed, w, ballot] + [element for pair in commitments for element in pair]
+    challenge = _fs_challenge(G, *flat, domain=b"ballot-or")
+    z0, z1 = known[1], known[3]
+    d0, d1 = (choices[0] - vote) % G.q, (choices[1] - vote) % G.q
+    e0 = -z1 * d1 * challenge * pow(z0 * d0 - z1 * d1, -1, G.q) % G.q
+    challenges = (e0, (challenge - e0) % G.q)
+    branches = tuple(
+        (a1, a2, e, (k + secret * e) % G.q)
+        for (a1, a2), e, k in zip(commitments, challenges, nonces)
+    )
+    return ballot, BallotProof(branches=branches)
+
+
+def test_seed_predicting_prover_cannot_forge_a_batched_ballot(rng):
+    """A ballot for vote 10 (choices 1 and 5) written against seed-only coefficients.
+
+    ``ballot_verify`` rejects it; the batch must too, as the culprit.
+    """
+    choices = (1, 5)
+    seed = G.random_element(rng)
+    honest = []
+    for vote in (1, 5, 1):
+        secret = G.random_scalar(rng)
+        w = G.power_of_g(secret)
+        ballot = G.mul(G.exp(seed, secret), G.power_of_g(vote))
+        proof = ballot_prove(G, seed, w, ballot, secret, vote, choices, rng)
+        honest.append(ballot_batch_item(G, seed, w, ballot, proof, choices))
+    secret = G.random_scalar(rng)
+    w = G.power_of_g(secret)
+    # Three honest items of four equations each come first.
+    known = seed_only_coefficients(DEFAULT_BATCH_SEED, 16)[12:]
+    ballot, proof = forge_ballot_proof(seed, w, secret, 10, choices, known)
+    forged = ballot_batch_item(G, seed, w, ballot, proof, choices)
+    assert not forged.check()
+    report = verify_batch(G, honest + [forged])
+    assert report.verdicts == (True, True, True, False)
+    assert report.culprits == (3,)
+
+
+def test_forged_ballot_same_outcome_batched_and_per_item():
+    """A corrupted voter casts a double vote that only seed-only coefficients would accept.
+
+    Four voters, so the choices are 1 ("yes") and 5 ("no") and the forged
+    ballot carries 10, two "no" votes.  Per-item screening drops it (the
+    voter is missing, no tally); batched screening must end the same way.
+    """
+    from repro.core.stacks import build_voting_stack
+    from repro.uc.encoding import encode
+
+    outcomes = []
+    for policy in (None, BatchPolicy()):
+        with batching(policy):
+            stack = build_voting_stack(voters=4, mode="hybrid", seed=31)
+            for authority in stack.authorities.values():
+                authority.deal()
+            stack.run_rounds(1)
+            stack.session.corrupt("V3")
+            voter = stack.parties["V3"]
+            seed = voter._seed()
+            # Ballots sort by voter, and the ideal certificates carry no
+            # equations: V3's proof is the fourth batched item.
+            known = seed_only_coefficients(DEFAULT_BATCH_SEED, 16)[12:]
+            ballot, proof = forge_ballot_proof(
+                seed, voter.verification_keys["V3"], voter.secret_exponent, 10,
+                voter.election.choices, known, key_base=voter.w,
+            )
+            signature = voter.certs["V3"].sign("V3", encode((ballot, proof, "V3")))
+            stack.service.adv_broadcast("V3", ("Ballot", "V3", ballot, proof, signature))
+            for pid, candidate in (("V0", "yes"), ("V1", "no"), ("V2", "yes")):
+                stack.parties[pid].vote(candidate)
+            stack.run_until_result()
+        honest = [party for party in stack.parties.values() if not party.corrupted]
+        outcomes.append([(party.result, party.tally_failure) for party in honest])
+    assert outcomes[0] == outcomes[1]
+    assert all(result is None and "V3" in failure for result, failure in outcomes[0])

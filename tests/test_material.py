@@ -3,7 +3,10 @@
 The store's contract, end to end:
 
 * the offline phase is deterministic and round-trips through a
-  versioned, integrity-hashed blob;
+  versioned, integrity-hashed blob whose bytes are pinned;
+* loaded pools decode on spend yet equal the built tuples, every check
+  runs at load, and a sweep's plan and publish check the store file
+  once and decode nothing;
 * the online phase attaches value-identical tables, so seed-for-seed
   trace digests never depend on the material source
   (compute == disk == shared);
@@ -16,22 +19,32 @@ The store's contract, end to end:
   sweeps stay ``--verify``-clean throughout.
 """
 
+import hashlib
 import json
 import os
 import pathlib
+import random
 import threading
 
 import pytest
 
-from repro.crypto.groups import GROUP_2048, TEST_GROUP, SchnorrGroup
+from repro.crypto.groups import (
+    GROUP_2048,
+    TEST_GROUP,
+    SchnorrGroup,
+    _build_window_table,
+    _byte_table_pow,
+)
 from repro.crypto.preprocessing import (
     MaterialError,
     MaterialFormatError,
     MaterialIntegrityError,
+    PackedPool,
     build_material,
     deserialize_material,
     extend_material,
     group_fingerprint,
+    read_material,
     serialize_material,
 )
 from repro.crypto.shamir import Share, _evaluate, feldman_verify
@@ -180,6 +193,102 @@ def test_deserialize_rejects_corrupt_blobs(mangle, error):
     blob = serialize_material(build_material(TEST_GROUP, nonces=2, feldman=1))
     with pytest.raises(error):
         deserialize_material(mangle(blob))
+
+
+#: sha256 of ``serialize_material(build_material(TEST_GROUP, nonces=N,
+#: feldman=16, seed=0))`` as written before pools were decoded on spend
+#: and large builds moved to a byte-wide table: N = 64 builds on the
+#: shipped table, N = 1024 on the byte-wide one.  Store blobs must stay
+#: byte-identical across that change.
+PINNED_BLOB_SHA256 = {
+    64: "af220ca3c4bad3cb01761b965dcacd960215516d34d7c70fdc89c82b76ab870b",
+    1024: "d46021b5921cb4eeeca4b18bd48807bbdc44bdbec1d50d33bf1fed633bf88d93",
+}
+
+
+@pytest.mark.parametrize("nonces", sorted(PINNED_BLOB_SHA256))
+def test_store_blob_bytes_are_pinned(nonces):
+    blob = serialize_material(build_material(TEST_GROUP, nonces=nonces, feldman=16, seed=0))
+    assert hashlib.sha256(blob).hexdigest() == PINNED_BLOB_SHA256[nonces]
+
+
+def test_byte_table_pow_matches_pow():
+    p, q, g = TEST_GROUP.p, TEST_GROUP.q, TEST_GROUP.g
+    rows = (q.bit_length() + 7) // 8
+    table = _build_window_table(g, 8, rows, p)
+    fuzz = random.Random(5)
+    for e in [0, 1, 255, 256, q - 1, (1 << (8 * rows)) - 1] + [fuzz.randrange(q) for _ in range(50)]:
+        assert _byte_table_pow(table, e, rows, p) == pow(g, e, p)
+    # Large pools are built on the byte-wide table; every power is g^k.
+    material = build_material(TEST_GROUP, nonces=1024, feldman=4)
+    assert all(pow(g, pair.k, p) == pair.r for pair in material.nonces)
+    for entry in material.feldman:
+        assert entry.commitments == tuple(pow(g, a, p) for a in entry.coefficients)
+
+
+def test_loaded_pools_decode_on_spend_and_equal_the_eager_pools():
+    eager = build_material(TEST_GROUP, nonces=7, feldman=3, feldman_threshold=2)
+    lazy = deserialize_material(serialize_material(eager))
+    for name in ("nonces", "feldman"):
+        pool, tuple_pool = getattr(lazy, name), getattr(eager, name)
+        assert isinstance(pool, PackedPool) and isinstance(tuple_pool, tuple)
+        size = len(tuple_pool)
+        assert len(pool) == size and bool(pool)
+        for index in range(-size, size):
+            assert pool[index] == tuple_pool[index]
+        for index in (size, -size - 1, 10**6):
+            with pytest.raises(IndexError):
+                pool[index]
+        assert list(pool) == list(tuple_pool)
+        assert pool[1:] == tuple_pool[1:] and pool[::-2] == tuple_pool[::-2]
+        assert pool == tuple_pool and tuple_pool == pool
+        assert not pool != tuple_pool
+        assert pool != tuple_pool[:-1] and pool != list(tuple_pool)
+        assert pool == getattr(deserialize_material(serialize_material(eager)), name)
+        assert tuple_pool[0] in pool and pool.index(tuple_pool[-1]) == size - 1
+    empty = deserialize_material(serialize_material(build_material(TEST_GROUP, nonces=0, feldman=0)))
+    assert not empty.nonces and not empty.feldman and empty.nonces == ()
+
+
+def test_flipped_pool_byte_fails_at_load_not_at_spend(store):
+    material = build_material(TEST_GROUP, nonces=4, feldman=2)
+    blob = serialize_material(material)
+    # The last byte is in the last Feldman commitment: the final entry a
+    # sweep would ever spend.
+    flipped = blob[:-1] + bytes([blob[-1] ^ 0x01])
+    for load in (read_material, deserialize_material):
+        with pytest.raises(MaterialIntegrityError, match="integrity hash"):
+            load(flipped)
+    store.path_for(TEST_GROUP).write_bytes(flipped)
+    with pytest.raises(MaterialIntegrityError, match="integrity hash"):
+        store.load(TEST_GROUP)
+
+
+def test_plan_and_publish_check_the_store_file_once_and_decode_nothing(store, monkeypatch):
+    import repro.crypto.preprocessing as preprocessing
+    import repro.runtime.material as material_mod
+
+    store.save(build_material(TEST_GROUP, nonces=32, feldman=8))
+    reads = []
+
+    def counting_read(blob):
+        reads.append(len(blob))
+        return read_material(blob)
+
+    def no_decode(self):
+        raise AssertionError("planning and publishing must not decode material")
+
+    monkeypatch.setattr(material_mod, "read_material", counting_read)
+    monkeypatch.setattr(preprocessing.MaterialBlob, "decode", no_decode)
+    plan = OnlinePlan.for_tasks(range(4), store=store)
+    handle, release = publish_material("disk", groups=(TEST_GROUP,), store=store)
+    release()
+    assert handle is not None and len(reads) == 1
+    assert (plan.pool_nonces, plan.pool_feldman) == (32, 8)
+    # A rewritten file is a new version: read and checked again.
+    store.save(build_material(TEST_GROUP, nonces=40, feldman=8, seed=1))
+    assert store.ensure_validated(TEST_GROUP).nonce_count == 40
+    assert len(reads) == 2
 
 
 # ---------------------------------------------------------------------------
